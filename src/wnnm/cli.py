@@ -13,10 +13,10 @@ import sys
 import numpy as np
 
 from .denoise import DenoiseConfig, DenoiseStats, denoise, psnr
-from .exceptions import InvalidInputError, PreconditionError, WnnmError
+from .exceptions import InvalidInputError, NumericalFailureError, PreconditionError, WnnmError
 from .pgm import read_pgm, write_pgm
 from .selftest import run_selftest
-from .solver import nnm_solve, wnnm_solve
+from .solver import wnnm_solve
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAIL = 1
@@ -26,29 +26,33 @@ EXIT_NUMERICAL = 3
 
 def read_matrix_csv(path) -> np.ndarray:
     """Parse a headerless comma-separated matrix, dimensions inferred."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not an ASCII text file: {exc}") from None
     rows = []
     width = None
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise InvalidInputError(
+                f"{path}: line {lineno}: expected {width} columns, got {len(cells)}"
+            )
+        row = []
+        for colno, cell in enumerate(cells, start=1):
+            try:
+                row.append(float(cell))
+            except ValueError:
                 raise InvalidInputError(
-                    f"{path}: line {lineno}: expected {width} columns, got {len(cells)}"
-                )
-            row = []
-            for colno, cell in enumerate(cells, start=1):
-                try:
-                    row.append(float(cell))
-                except ValueError:
-                    raise InvalidInputError(
-                        f"{path}: line {lineno}, column {colno}: not a number: {cell!r}"
-                    ) from None
-            rows.append(row)
+                    f"{path}: line {lineno}, column {colno}: not a number: {cell!r}"
+                ) from None
+        rows.append(row)
     if not rows:
         raise InvalidInputError(f"{path}: empty matrix")
     return np.array(rows)
@@ -70,24 +74,13 @@ def cmd_solve(args) -> int:
         y = read_matrix_csv(args.matrix)
         if args.weights is not None:
             w = read_matrix_csv(args.weights).ravel()
-            if w.size != min(y.shape):
-                raise InvalidInputError(
-                    f"weights file has {w.size} entries, expected {min(y.shape)}"
-                )
         else:
             w = np.full(min(y.shape), args.lam)
-            if args.lam < 0:
-                raise InvalidInputError("lambda must be nonnegative")
-    except (InvalidInputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        if args.weights is None and args.force_path is None:
-            result = nnm_solve(y, args.lam)
-        else:
-            result = wnnm_solve(y, w, force_path=args.force_path)
+        result = wnnm_solve(y, w, force_path=args.force_path)
+        if not (np.isfinite(result.objective) and np.all(np.isfinite(result.x_star))):
+            raise NumericalFailureError(f"non-finite result (objective {result.objective!r})")
         write_matrix_csv(args.out, result.x_star)
-    except (InvalidInputError, PreconditionError) as exc:
+    except (InvalidInputError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except WnnmError as exc:
@@ -117,6 +110,9 @@ def cmd_denoise(args) -> int:
         stats = DenoiseStats()
         out = denoise(noisy, cfg, stats=stats)
         write_pgm(args.output, out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except WnnmError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -17,7 +17,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import InvalidInputError
-from .solver import wnnm_solve
+from .linalg import svd
+from .solver import shrink
 
 
 @dataclass
@@ -105,6 +106,11 @@ def extract_group(img, anchor: tuple[int, int], cfg: DenoiseConfig) -> PatchGrou
     return PatchGroup(anchor=anchor, member_offsets=offsets, matrix=np.column_stack(cols))
 
 
+def _weights_from_sigma(sigma: np.ndarray, k: int, cfg: DenoiseConfig) -> np.ndarray:
+    s_clean = np.sqrt(np.maximum(sigma**2 - k * cfg.noise_sigma**2, 0.0))
+    return cfg.weight_constant * math.sqrt(k) * cfg.noise_sigma**2 / (s_clean + cfg.epsilon)
+
+
 def group_weights(group_matrix, cfg: DenoiseConfig) -> np.ndarray:
     """Inverse-estimated-singular-value weights; non-descending by construction.
 
@@ -114,12 +120,8 @@ def group_weights(group_matrix, cfg: DenoiseConfig) -> np.ndarray:
     group_matrix = np.asarray(group_matrix, dtype=float)
     if group_matrix.ndim != 2 or group_matrix.size == 0:
         raise InvalidInputError("group matrix must be a nonempty 2-D array")
-    k = group_matrix.shape[1]
     s = np.linalg.svd(group_matrix, compute_uv=False)
-    s_clean = np.sqrt(np.maximum(s**2 - k * cfg.noise_sigma**2, 0.0))
-    w = cfg.weight_constant * math.sqrt(k) * cfg.noise_sigma**2 / (s_clean + cfg.epsilon)
-    assert np.all(np.diff(w) >= 0.0)
-    return w
+    return _weights_from_sigma(s, group_matrix.shape[1], cfg)
 
 
 def _anchor_grid(extent: int, patch: int, stride: int) -> list[int]:
@@ -149,8 +151,9 @@ def denoise(img, cfg: DenoiseConfig, stats: DenoiseStats | None = None) -> np.nd
     for r in _anchor_grid(h, p, cfg.stride):
         for c in _anchor_grid(w, p, cfg.stride):
             group = extract_group(img, (r, c), cfg)
-            weights = group_weights(group.matrix, cfg)
-            result = wnnm_solve(group.matrix, weights)
+            factors = svd(group.matrix)
+            weights = _weights_from_sigma(factors.sigma, group.matrix.shape[1], cfg)
+            result = shrink(factors, weights)
             if stats is not None:
                 stats.groups += 1
                 stats.ranks.append(int(np.count_nonzero(result.d.d > 0.0)))

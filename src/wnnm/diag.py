@@ -45,25 +45,29 @@ def _as_vector(x, name: str) -> np.ndarray:
     return x
 
 
-def check_weights(w) -> np.ndarray:
-    w = _as_vector(w, "weights")
-    if w.size and w.min() < 0.0:
-        raise InvalidInputError(f"weights must be nonnegative, got min {w.min()}")
-    return w
+def weights_non_descending(w: np.ndarray, tol: float = WEIGHT_ORDER_TOL) -> bool:
+    return w.size == 0 or bool(np.all(np.diff(w) >= -tol))
 
 
-def check_sigma(sigma) -> np.ndarray:
+def _check_instance(sigma, w) -> tuple[np.ndarray, np.ndarray]:
+    """Validate one subproblem instance: a sorted nonnegative spectrum and
+    one nonnegative weight per singular value."""
     sigma = _as_vector(sigma, "sigma")
+    w = _as_vector(w, "weights")
+    if sigma.size != w.size:
+        raise InvalidInputError(f"weight vector has length {w.size}, expected {sigma.size}")
     if sigma.size:
+        if w.min() < 0.0:
+            raise InvalidInputError(f"weights must be nonnegative, got min {w.min()}")
         if sigma.min() < 0.0:
             raise InvalidInputError(f"singular values must be nonnegative, got min {sigma.min()}")
         if np.any(np.diff(sigma) > WEIGHT_ORDER_TOL):
             raise InvalidInputError("singular values must be sorted non-increasing")
-    return sigma
+    return sigma, w
 
 
-def weights_non_descending(w: np.ndarray, tol: float = WEIGHT_ORDER_TOL) -> bool:
-    return w.size == 0 or bool(np.all(np.diff(w) >= -tol))
+def _objective(d, sigma, w) -> float:
+    return float(np.sum((d - sigma) ** 2 + w * d))
 
 
 def objective_diag(d, sigma, w) -> float:
@@ -75,7 +79,7 @@ def objective_diag(d, sigma, w) -> float:
         raise InvalidInputError(
             f"length mismatch: d={d.size}, sigma={sigma.size}, w={w.size}"
         )
-    return float(np.sum((d - sigma) ** 2 + w * d))
+    return _objective(d, sigma, w)
 
 
 def project_monotone_nonneg(t) -> np.ndarray:
@@ -105,28 +109,27 @@ def project_monotone_nonneg(t) -> np.ndarray:
     return out
 
 
+def _solve(sigma: np.ndarray, w: np.ndarray, path: SolverPath) -> DiagSolution:
+    # The one spectrum kernel: both paths act on the targets t = sigma - w/2.
+    t = sigma - w / 2.0
+    d = np.maximum(t, 0.0) if path is SolverPath.CLOSED_FORM else project_monotone_nonneg(t)
+    return DiagSolution(d=d, objective=_objective(d, sigma, w), path=path)
+
+
 def closed_form(sigma, w) -> DiagSolution:
     """Closed-form optimum for non-descending weights: max(sigma - w/2, 0)."""
-    sigma = check_sigma(sigma)
-    w = check_weights(w)
-    if sigma.size != w.size:
-        raise InvalidInputError(f"length mismatch: sigma={sigma.size}, w={w.size}")
+    sigma, w = _check_instance(sigma, w)
     if not weights_non_descending(w):
         raise PreconditionError(
             "closed_form requires non-descending weights; use pava_solve for arbitrary order"
         )
-    d = np.maximum(sigma - w / 2.0, 0.0)
-    return DiagSolution(d=d, objective=objective_diag(d, sigma, w), path=SolverPath.CLOSED_FORM)
+    return _solve(sigma, w, SolverPath.CLOSED_FORM)
 
 
 def pava_solve(sigma, w) -> DiagSolution:
     """Globally optimal spectrum for arbitrary nonnegative weights."""
-    sigma = check_sigma(sigma)
-    w = check_weights(w)
-    if sigma.size != w.size:
-        raise InvalidInputError(f"length mismatch: sigma={sigma.size}, w={w.size}")
-    d = project_monotone_nonneg(sigma - w / 2.0)
-    return DiagSolution(d=d, objective=objective_diag(d, sigma, w), path=SolverPath.PAVA)
+    sigma, w = _check_instance(sigma, w)
+    return _solve(sigma, w, SolverPath.PAVA)
 
 
 def projgrad_reference(sigma, w, tol: float = 1e-10, max_iter: int = 10000) -> DiagSolution:
@@ -136,10 +139,7 @@ def projgrad_reference(sigma, w, tol: float = 1e-10, max_iter: int = 10000) -> D
     (step 1/L would coincide with a single cone projection). Stops when the
     iterate moves less than ``tol`` in max-norm.
     """
-    sigma = check_sigma(sigma)
-    w = check_weights(w)
-    if sigma.size != w.size:
-        raise InvalidInputError(f"length mismatch: sigma={sigma.size}, w={w.size}")
+    sigma, w = _check_instance(sigma, w)
     if tol <= 0.0:
         raise InvalidInputError("tol must be positive")
     if max_iter < 1:
@@ -153,12 +153,12 @@ def projgrad_reference(sigma, w, tol: float = 1e-10, max_iter: int = 10000) -> D
         d = d_next
         if moved < tol:
             return DiagSolution(
-                d=d, objective=objective_diag(d, sigma, w), path=SolverPath.PROJ_GRAD
+                d=d, objective=_objective(d, sigma, w), path=SolverPath.PROJ_GRAD
             )
     raise ConvergenceError(
         f"projected gradient did not reach tol={tol} in {max_iter} iterations",
         last_iterate=d,
-        objective=objective_diag(d, sigma, w),
+        objective=_objective(d, sigma, w),
         iterations=max_iter,
     )
 
@@ -171,8 +171,7 @@ def brute_force_oracle(sigma, w, grid_step: float) -> DiagSolution:
     exactly with a dynamic program over grid levels, so the result is
     identical to literal enumeration. Restricted to n <= 4.
     """
-    sigma = check_sigma(sigma)
-    w = check_weights(w)
+    sigma, w = _check_instance(sigma, w)
     n = sigma.size
     if n > 4:
         raise InvalidInputError("brute_force_oracle is limited to n <= 4")
@@ -203,4 +202,4 @@ def brute_force_oracle(sigma, w, grid_step: float) -> DiagSolution:
     for i in range(1, n):
         j = int(argmins[i][j])
         d[i] = grid[j]
-    return DiagSolution(d=d, objective=objective_diag(d, sigma, w), path=SolverPath.BRUTE_FORCE)
+    return DiagSolution(d=d, objective=_objective(d, sigma, w), path=SolverPath.BRUTE_FORCE)

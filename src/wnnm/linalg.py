@@ -65,10 +65,9 @@ def svd(y) -> SvdFactors:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
     v = vt.T
-    u, v = _fix_signs(u, v)
     if transposed:
         u, v = v, u
-    assert np.all(s >= 0.0) and np.all(np.diff(s) <= 0.0)
+    u, v = _fix_signs(u, v)
     return SvdFactors(u=u, sigma=s, v=v)
 
 

@@ -32,13 +32,26 @@ def objective_full(y, x, w) -> float:
     x = check_matrix(x)
     if y.shape != x.shape:
         raise InvalidInputError(f"shape mismatch: y is {y.shape}, x is {x.shape}")
-    w = diag.check_weights(w)
-    if w.size != min(y.shape):
-        raise InvalidInputError(
-            f"weight vector has length {w.size}, expected {min(y.shape)}"
-        )
-    sigma_x = svd(x).sigma
+    sigma_x, w = diag._check_instance(svd(x).sigma, w)
     return float(np.sum((y - x) ** 2) + np.sum(w * sigma_x))
+
+
+def shrink(factors: SvdFactors, w, force_path: str | None = None) -> WnnmResult:
+    """Apply the WNNM operator to the matrix whose thin SVD is ``factors``.
+
+    The objective is the spectrum objective of ``d``. It equals the full
+    objective at ``x_star`` because ``x_star`` shares the singular vectors
+    of the input; ``objective_full`` is the independent check.
+    """
+    w = np.asarray(w, dtype=float)
+    if w.shape != factors.sigma.shape:
+        raise InvalidInputError(
+            f"weight vector has shape {w.shape}, expected {factors.sigma.shape}"
+        )
+    use_closed = diag.weights_non_descending(w) if force_path is None else force_path == "closed"
+    sol = diag.closed_form(factors.sigma, w) if use_closed else diag.pava_solve(factors.sigma, w)
+    x_star = reconstruct(factors, sol.d)
+    return WnnmResult(x_star=x_star, factors=factors, d=sol, objective=sol.objective, path=sol.path)
 
 
 def wnnm_solve(y, w, force_path: str | None = None) -> WnnmResult:
@@ -48,43 +61,18 @@ def wnnm_solve(y, w, force_path: str | None = None) -> WnnmResult:
     non-descending; otherwise the PAVA path solves the general subproblem.
     ``force_path`` ("closed" or "pava") overrides the automatic choice.
     """
-    y = check_matrix(y)
-    w = diag.check_weights(w)
-    if w.size != min(y.shape):
-        raise InvalidInputError(
-            f"weight vector has length {w.size}, expected {min(y.shape)}"
-        )
     if force_path not in (None, "closed", "pava"):
         raise InvalidInputError(f"unknown force_path {force_path!r}")
-
-    factors = svd(y)
-    use_closed = diag.weights_non_descending(w) if force_path is None else force_path == "closed"
-    if use_closed:
-        sol = diag.closed_form(factors.sigma, w)
-    else:
-        sol = diag.pava_solve(factors.sigma, w)
-    x_star = reconstruct(factors, sol.d)
-    # Objective recomputed from x_star (fresh SVD inside) so reconstruction
-    # bugs cannot hide behind the subproblem value.
-    obj = objective_full(y, x_star, w)
-    return WnnmResult(x_star=x_star, factors=factors, d=sol, objective=obj, path=sol.path)
+    return shrink(svd(y), w, force_path)
 
 
 def nnm_solve(y, lam: float) -> WnnmResult:
     """Uniform-weight special case: soft-threshold the spectrum at lam/2."""
-    y = check_matrix(y)
     lam = float(lam)
     if not np.isfinite(lam) or lam < 0.0:
         raise InvalidInputError(f"lambda must be a nonnegative real, got {lam}")
     factors = svd(y)
-    d = np.maximum(factors.sigma - lam / 2.0, 0.0)
-    w = np.full(factors.sigma.size, lam)
-    sol = DiagSolution(
-        d=d, objective=diag.objective_diag(d, factors.sigma, w), path=SolverPath.CLOSED_FORM
-    )
-    x_star = reconstruct(factors, d)
-    obj = objective_full(y, x_star, w)
-    return WnnmResult(x_star=x_star, factors=factors, d=sol, objective=obj, path=sol.path)
+    return shrink(factors, np.full(factors.sigma.size, lam))
 
 
 @dataclass(frozen=True)
@@ -111,18 +99,14 @@ def trace_identity_check(a, w, trials: int, rng=None) -> TraceIdentityReport:
     none may exceed the analytic maximum.
     """
     a = check_matrix(a)
-    w = diag.check_weights(w)
-    if w.size != min(a.shape):
-        raise InvalidInputError(
-            f"weight vector has length {w.size}, expected {min(a.shape)}"
-        )
+    f = svd(a)
+    _, w = diag._check_instance(f.sigma, w)
     if w.size and np.any(np.diff(w) > diag.WEIGHT_ORDER_TOL):
         raise PreconditionError("trace identity requires non-ascending weights")
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
     rng = np.random.default_rng(rng)
 
-    f = svd(a)
     k = f.sigma.size
     lhs = float(np.sum(f.sigma * w))
     rhs_at_svd = float(np.trace((w[:, None] * f.u.T) @ a @ f.v))

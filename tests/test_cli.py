@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wnnm import read_pgm, write_pgm
+from wnnm import nnm_solve, read_pgm, write_pgm
 from wnnm.cli import main, read_matrix_csv, write_matrix_csv
 
 
@@ -68,6 +68,48 @@ class TestSolve:
         )
         assert code == 2 and "column" in err
 
+    def test_non_ascii_csv_exit_2(self, tmp_path, capsys):
+        m = tmp_path / "m.csv"
+        m.write_bytes(b"1,2\n3,\xe94\n")
+        code, _, err = run(
+            capsys, "solve", "--matrix", str(m), "--lambda", "1", "--out", str(tmp_path / "x.csv")
+        )
+        assert code == 2 and "error" in err
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        m = write_csv(tmp_path / "m.csv", "3,0\n0,1\n")
+        code, _, err = run(capsys, "solve", "--matrix", m, "--lambda", "1", "--out", str(tmp_path))
+        assert code == 2 and "error" in err
+
+    def test_lambda_matches_nnm_solve_bytes(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        y = rng.standard_normal((5, 3))
+        m, out, ref = tmp_path / "m.csv", tmp_path / "x.csv", tmp_path / "ref.csv"
+        write_matrix_csv(m, y)
+        code, _, _ = run(capsys, "solve", "--matrix", str(m), "--lambda", "0.7", "--out", str(out))
+        assert code == 0
+        write_matrix_csv(ref, nnm_solve(read_matrix_csv(m), 0.7).x_star)
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_huge_entries_finite_spectrum_objective(self, tmp_path, capsys):
+        # ||y - x||_F^2 computed entrywise overflows here; the spectrum objective does not.
+        m = write_csv(tmp_path / "m.csv", "3e200,1e200\n1e200,2e200\n")
+        w = write_csv(tmp_path / "w.csv", "1,1\n")
+        out = tmp_path / "x.csv"
+        code, stdout, _ = run(capsys, "solve", "--matrix", m, "--weights", w, "--out", str(out))
+        assert code == 0
+        objective = float(stdout.split("objective: ")[1].split()[0])
+        assert np.isfinite(objective) and objective == pytest.approx(5e200)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_objective_exit_3(self, tmp_path, capsys):
+        m = write_csv(tmp_path / "m.csv", "3e200,1e200\n1e200,2e200\n")
+        w = write_csv(tmp_path / "w.csv", "1e300,1e300\n")
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(capsys, "solve", "--matrix", m, "--weights", w, "--out", str(out))
+        assert code == 3 and "numerical error" in err
+        assert "objective" not in stdout and not out.exists()
+
     def test_force_path_pava(self, tmp_path, capsys):
         m = write_csv(tmp_path / "m.csv", "3,0\n0,2\n")
         w = write_csv(tmp_path / "w.csv", "4,0\n")
@@ -93,6 +135,15 @@ class TestDenoise:
         assert code == 0
         assert "groups processed" in stdout
         np.testing.assert_allclose(read_pgm(dst), img, atol=1.0)
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "in.pgm"
+        write_pgm(src, np.full((8, 8), 100.0))
+        code, _, err = run(
+            capsys, "denoise", "--in", str(src), "--out", str(tmp_path), "--sigma", "10",
+            "--patch", "3", "--group", "4", "--window", "3",
+        )
+        assert code == 2 and "error" in err
 
     def test_truncated_pgm_exit_2(self, tmp_path, capsys):
         src = tmp_path / "bad.pgm"

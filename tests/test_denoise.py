@@ -119,6 +119,20 @@ class TestDenoise:
         assert stats.groups == 36
         assert 0 <= stats.mean_rank <= 4
 
+    def test_one_svd_per_group(self, monkeypatch):
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        stats = DenoiseStats()
+        rng = np.random.default_rng(7)
+        denoise(rng.uniform(0, 255, size=(12, 12)), cfg(), stats=stats)
+        assert stats.groups > 0 and len(calls) == stats.groups
+
     def test_patch_too_large(self):
         with pytest.raises(InvalidInputError):
             denoise(np.zeros((4, 4)), DenoiseConfig(noise_sigma=5.0, patch_size=7))

@@ -43,11 +43,13 @@ def test_svd_wide_matrix_thin_factors():
 
 def test_svd_sign_convention_deterministic():
     rng = np.random.default_rng(0)
-    y = rng.standard_normal((5, 4))
-    f = svd(y)
-    for j in range(f.u.shape[1]):
-        col = f.u[:, j]
-        assert col[np.abs(col).argmax()] >= 0
+    for shape in [(5, 4), (3, 6)]:  # tall, and wide (factors swapped internally)
+        y = rng.standard_normal(shape)
+        f = svd(y)
+        np.testing.assert_allclose(reconstruct(f, f.sigma), y, atol=1e-12)
+        for j in range(f.u.shape[1]):
+            col = f.u[:, j]
+            assert col[np.abs(col).argmax()] >= 0
 
 
 def test_reconstruct_examples():

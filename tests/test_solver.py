@@ -112,6 +112,23 @@ class TestWnnmSolve:
                 assert r.objective <= objective_full(y, c, w) + 1e-6
 
 
+    @pytest.mark.parametrize("shape", [(6, 4), (3, 7), (5, 5)])
+    @pytest.mark.parametrize("rank_deficient", [False, True])
+    def test_objective_matches_objective_full(self, shape, rank_deficient):
+        rng = np.random.default_rng(18)
+        k = min(shape)
+        for _ in range(20):
+            y = rng.uniform(-1, 1, size=shape)
+            if rank_deficient:
+                y = rng.standard_normal((shape[0], 1)) @ rng.standard_normal((1, shape[1]))
+            w_sorted = np.sort(rng.uniform(0.5, 2, size=k))
+            w_any = rng.uniform(0.5, 2, size=k)
+            for w, path in [(w_sorted, "closed"), (w_sorted, "pava"), (w_any, "pava")]:
+                r = wnnm_solve(y, w, force_path=path)
+                full = objective_full(y, r.x_star, w)
+                assert abs(r.objective - full) <= 1e-12 * abs(full)
+
+
 class TestNnmSolve:
     def test_soft_threshold_diagonal(self):
         r = nnm_solve(np.diag([3.0, 1.0]), 1.0)
