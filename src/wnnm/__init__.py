@@ -1,6 +1,6 @@
 """Weighted nuclear norm minimization: exact solvers and a denoising demo."""
 
-from .denoise import DenoiseConfig, DenoiseStats, PatchGroup, denoise, extract_group, group_weights, psnr
+from .denoise import DenoiseConfig, DenoiseStats, denoise, extract_group, group_weights, patch_table, psnr
 from .diag import (
     DiagSolution,
     SolverPath,
@@ -29,7 +29,6 @@ __all__ = [
     "DiagSolution",
     "InvalidInputError",
     "NumericalFailureError",
-    "PatchGroup",
     "PreconditionError",
     "SolverPath",
     "SvdFactors",
@@ -44,6 +43,7 @@ __all__ = [
     "nnm_solve",
     "objective_diag",
     "objective_full",
+    "patch_table",
     "pava_solve",
     "project_monotone_nonneg",
     "projgrad_reference",

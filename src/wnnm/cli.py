@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 selftest failure, 2 input error, 3 numerical error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -118,13 +117,12 @@ def cmd_denoise(args) -> int:
         return EXIT_NUMERICAL
     print(f"groups processed: {stats.groups}")
     print(f"mean group rank after shrinkage: {stats.mean_rank:.3f}")
-    print(f"psnr noisy vs denoised: {psnr(noisy, out):.3f} dB")
+    print(f"psnr output vs input (change, not quality): {psnr(noisy, out):.3f} dB")
     return EXIT_OK
 
 
 def cmd_selftest(args) -> int:
-    inject = os.environ.get("WNNM_SELFTEST_INJECT_BUG") == "1"  # test-only hook
-    return run_selftest(seed=args.seed, scale=args.scale, inject_bug=inject)
+    return run_selftest(seed=args.seed, scale=args.scale)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the seeded verification suites")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--scale", choices=["small", "full", "0"], default="small")
+    p.add_argument("--scale", choices=["small", "full"], default="small")
     p.set_defaults(func=cmd_selftest)
     return parser
 

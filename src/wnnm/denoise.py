@@ -1,8 +1,10 @@
 """Desk-scale grayscale denoising on groups of similar patches.
 
-For each anchor on a stride grid: gather the most similar patches in a
-search window, stack them as columns, shrink the group matrix with the
-WNNM operator, and scatter the columns back. The weight scheme (inverse
+The image is read once into a patch table (every p x p patch, indexed by
+its top-left corner). For each anchor on a stride grid: select the indices
+of the most similar patches in a search window, shrink the matrix of those
+patches with the WNNM operator, and add the result to per-patch sums that
+are folded back onto the pixels at the end. The weight scheme (inverse
 estimated clean singular value) is non-descending by construction, so
 every group takes the closed-form path. It is a demo-only choice, not part
 of the solver contract.
@@ -44,13 +46,6 @@ class DenoiseConfig:
 
 
 @dataclass
-class PatchGroup:
-    anchor: tuple[int, int]
-    member_offsets: list[tuple[int, int]]
-    matrix: np.ndarray  # (patch_size^2, members), one vectorized patch per column
-
-
-@dataclass
 class DenoiseStats:
     groups: int = 0
     ranks: list[int] = field(default_factory=list)
@@ -69,68 +64,63 @@ def check_image(img) -> np.ndarray:
     return img
 
 
-def extract_group(img, anchor: tuple[int, int], cfg: DenoiseConfig) -> PatchGroup:
-    """Gather the cfg.group_size patches in the search window closest to the
-    anchor patch (squared Euclidean distance, ties broken by scan order).
+def patch_table(img, p: int) -> np.ndarray:
+    """Every p x p patch of ``img`` as a (H-p+1, W-p+1, p*p) array.
 
-    The anchor is always a member. ``anchor`` is the patch's top-left corner.
+    Entry ``[i, j]`` is the flattened patch whose top-left corner is
+    ``(i, j)``. This is the one place the denoiser validates its image.
     """
     img = check_image(img)
-    p = cfg.patch_size
     h, w = img.shape
+    if p > min(h, w):
+        raise InvalidInputError(f"patch_size {p} exceeds image extent {h}x{w}")
+    return sliding_window_view(img, (p, p)).reshape(h - p + 1, w - p + 1, p * p)
+
+
+def extract_group(table: np.ndarray, anchor: tuple[int, int], cfg: DenoiseConfig) -> np.ndarray:
+    """Flat indices into ``table`` of the cfg.group_size patches in the search
+    window closest to the anchor patch (squared Euclidean distance, ties
+    broken by scan order), the anchor first.
+
+    ``anchor`` is the patch's top-left corner. Near the border the window
+    may hold fewer than cfg.group_size patches; all of them are returned.
+    """
+    rows, cols = table.shape[:2]
     r, c = anchor
-    if not (0 <= r <= h - p and 0 <= c <= w - p):
-        raise InvalidInputError(f"anchor {anchor} does not fit a {p}x{p} patch in {h}x{w} image")
+    if not (0 <= r < rows and 0 <= c < cols):
+        raise InvalidInputError(f"anchor {anchor} is outside the {rows}x{cols} patch grid")
 
-    r0, r1 = max(0, r - cfg.search_window), min(h - p, r + cfg.search_window)
-    c0, c1 = max(0, c - cfg.search_window), min(w - p, c + cfg.search_window)
-    region = img[r0 : r1 + p, c0 : c1 + p]
-    candidates = sliding_window_view(region, (p, p))  # (R, C, p, p)
-    anchor_patch = img[r : r + p, c : c + p]
-    dist = ((candidates - anchor_patch) ** 2).sum(axis=(2, 3)).ravel()
+    sw = cfg.search_window
+    r0, r1 = max(0, r - sw), min(rows - 1, r + sw)
+    c0, c1 = max(0, c - sw), min(cols - 1, c + sw)
+    diff = table[r0 : r1 + 1, c0 : c1 + 1] - table[r, c]
+    dist = np.einsum("ijk,ijk->ij", diff, diff).ravel()
 
-    n_rows, n_cols = candidates.shape[:2]
-    anchor_flat = (r - r0) * n_cols + (c - c0)
+    n_cols = c1 - c0 + 1
+    anchor_local = (r - r0) * n_cols + (c - c0)
     order = np.argsort(dist, kind="stable")
-    chosen = [anchor_flat]
-    for j in order:
-        if len(chosen) >= cfg.group_size:
-            break
-        if j != anchor_flat:
-            chosen.append(int(j))
-
-    offsets = [(r0 + j // n_cols - r, c0 + j % n_cols - c) for j in chosen]
-    cols = [
-        img[r + dr : r + dr + p, c + dc : c + dc + p].ravel() for dr, dc in offsets
-    ]
-    return PatchGroup(anchor=anchor, member_offsets=offsets, matrix=np.column_stack(cols))
+    local = np.concatenate(([anchor_local], order[order != anchor_local][: cfg.group_size - 1]))
+    return (local // n_cols + r0) * cols + local % n_cols + c0
 
 
-def _weights_from_sigma(sigma: np.ndarray, k: int, cfg: DenoiseConfig) -> np.ndarray:
+def group_weights(sigma, k: int, cfg: DenoiseConfig) -> np.ndarray:
+    """Inverse-estimated-singular-value weights for the spectrum ``sigma`` of
+    a group of ``k`` patches; non-descending by construction.
+
+    The clean singular value is estimated by variance subtraction:
+    sqrt(max(s_i^2 - k * noise_sigma^2, 0)).
+    """
+    sigma = np.asarray(sigma, dtype=float)
     s_clean = np.sqrt(np.maximum(sigma**2 - k * cfg.noise_sigma**2, 0.0))
     return cfg.weight_constant * math.sqrt(k) * cfg.noise_sigma**2 / (s_clean + cfg.epsilon)
 
 
-def group_weights(group_matrix, cfg: DenoiseConfig) -> np.ndarray:
-    """Inverse-estimated-singular-value weights; non-descending by construction.
-
-    The clean singular value is estimated by variance subtraction:
-    sqrt(max(s_i^2 - k * noise_sigma^2, 0)) for a group of k columns.
-    """
-    group_matrix = np.asarray(group_matrix, dtype=float)
-    if group_matrix.ndim != 2 or group_matrix.size == 0:
-        raise InvalidInputError("group matrix must be a nonempty 2-D array")
-    s = np.linalg.svd(group_matrix, compute_uv=False)
-    return _weights_from_sigma(s, group_matrix.shape[1], cfg)
-
-
-def _anchor_grid(extent: int, patch: int, stride: int) -> list[int]:
-    # Clipped to positions where the patch fits; the final position is always
-    # included so borders get covered.
-    last = extent - patch
-    grid = list(range(0, last + 1, stride))
-    if grid[-1] != last:
-        grid.append(last)
+def _anchor_grid(extent: int, stride: int) -> list[int]:
+    # ``extent`` anchor positions fit; the final one is always included so
+    # borders get covered.
+    grid = list(range(0, extent, stride))
+    if grid[-1] != extent - 1:
+        grid.append(extent - 1)
     return grid
 
 
@@ -140,27 +130,36 @@ def denoise(img, cfg: DenoiseConfig, stats: DenoiseStats | None = None) -> np.nd
     Pixels never covered by any patch keep their input value; output is
     clamped to [0, 255].
     """
-    img = check_image(img)
     p = cfg.patch_size
-    h, w = img.shape
-    if p > min(h, w):
-        raise InvalidInputError(f"patch_size {p} exceeds image extent {h}x{w}")
+    table = patch_table(img, p)
+    img = np.asarray(img, dtype=float)
+    rows, cols = table.shape[:2]
+    flat = table.reshape(rows * cols, p * p)
 
-    acc = np.zeros_like(img)
-    cnt = np.zeros_like(img)
-    for r in _anchor_grid(h, p, cfg.stride):
-        for c in _anchor_grid(w, p, cfg.stride):
-            group = extract_group(img, (r, c), cfg)
-            factors = svd(group.matrix)
-            weights = _weights_from_sigma(factors.sigma, group.matrix.shape[1], cfg)
-            result = shrink(factors, weights)
+    # Sum of every estimate of each patch, and how many there were.
+    patch_acc = np.zeros_like(flat)
+    patch_cnt = np.zeros(rows * cols)
+    for r in _anchor_grid(rows, cfg.stride):
+        for c in _anchor_grid(cols, cfg.stride):
+            members = extract_group(table, (r, c), cfg)
+            factors = svd(flat[members].T)
+            result = shrink(factors, group_weights(factors.sigma, members.size, cfg))
             if stats is not None:
                 stats.groups += 1
                 stats.ranks.append(int(np.count_nonzero(result.d.d > 0.0)))
-            for col, (dr, dc) in enumerate(group.member_offsets):
-                patch = result.x_star[:, col].reshape(p, p)
-                acc[r + dr : r + dr + p, c + dc : c + dc + p] += patch
-                cnt[r + dr : r + dr + p, c + dc : c + dc + p] += 1.0
+            np.add.at(patch_acc, members, result.x_star.T)
+            np.add.at(patch_cnt, members, 1.0)
+
+    # Fold patch sums onto pixels: patch offset (i, j) lands on the image
+    # shifted by (i, j).
+    patch_acc = patch_acc.reshape(rows, cols, p, p)
+    patch_cnt = patch_cnt.reshape(rows, cols)
+    acc = np.zeros_like(img)
+    cnt = np.zeros_like(img)
+    for i in range(p):
+        for j in range(p):
+            acc[i : i + rows, j : j + cols] += patch_acc[:, :, i, j]
+            cnt[i : i + rows, j : j + cols] += patch_cnt
 
     out = img.copy()
     covered = cnt > 0

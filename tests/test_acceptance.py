@@ -4,12 +4,14 @@ Each test prints a single pass/fail line (visible with ``pytest -s`` or on
 failure). Tolerances are fixed here, not tuned at runtime.
 """
 
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import wnnm
 from wnnm import (
     DenoiseConfig,
     brute_force_oracle,
@@ -83,9 +85,11 @@ def test_criterion_4_nnm_special_case():
         y = rng.uniform(-1.0, 1.0, size=(m, n))
         top = float(np.linalg.norm(y, 2))
         lam = float(rng.uniform(0.0, 2.0 * top)) if top > 0 else 0.0
-        gap = np.max(np.abs(nnm_solve(y, lam).x_star - wnnm_solve(y, np.full(min(m, n), lam)).x_star))
+        u, s, vt = np.linalg.svd(y, full_matrices=False)
+        ref = (u * np.maximum(s - lam / 2.0, 0.0)) @ vt
+        gap = np.max(np.abs(nnm_solve(y, lam).x_star - ref))
         ok &= gap <= 1e-10
-    report("soft-thresholding equals uniform-weight solve", ok)
+    report("nnm_solve equals soft-thresholding of numpy's SVD at lam/2", ok)
 
 
 def test_criterion_5_candidate_dominance():
@@ -150,7 +154,10 @@ def test_criterion_8_denoise_smoke():
 
 def test_criterion_9_selftest_determinism():
     cmd = [sys.executable, "-m", "wnnm", "selftest", "--seed", "42"]
-    runs = [subprocess.run(cmd, capture_output=True) for _ in range(2)]
+    # The subprocess imports the same wnnm package as this test, installed or not.
+    src = os.path.dirname(os.path.dirname(wnnm.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = [subprocess.run(cmd, capture_output=True, env=env) for _ in range(2)]
     ok = (
         runs[0].returncode == 0
         and runs[0].returncode == runs[1].returncode

@@ -8,7 +8,9 @@ from wnnm import (
     denoise,
     extract_group,
     group_weights,
+    patch_table,
     psnr,
+    svd,
 )
 
 
@@ -37,45 +39,49 @@ class TestConfig:
             DenoiseConfig(**kw)
 
 
+def group_matrix(table, members):
+    return table.reshape(-1, table.shape[2])[members].T
+
+
 class TestExtractGroup:
     def test_constant_image_all_columns_identical(self):
-        img = np.full((10, 10), 42.0)
-        g = extract_group(img, (2, 2), cfg())
-        assert g.matrix.shape == (9, 4)
-        assert np.all(g.matrix == 42.0)
-        assert (0, 0) in g.member_offsets
+        table = patch_table(np.full((10, 10), 42.0), 3)
+        members = extract_group(table, (2, 2), cfg())
+        m = group_matrix(table, members)
+        assert m.shape == (9, 4)
+        assert np.all(m == 42.0)
+        assert members[0] == 2 * 8 + 2
 
     def test_group_size_one_is_anchor_patch(self):
         rng = np.random.default_rng(0)
         img = rng.uniform(0, 255, size=(8, 8))
-        g = extract_group(img, (1, 2), cfg(group_size=1))
-        np.testing.assert_array_equal(g.matrix[:, 0], img[1:4, 2:5].ravel())
-        assert g.member_offsets == [(0, 0)]
+        table = patch_table(img, 3)
+        members = extract_group(table, (1, 2), cfg(group_size=1))
+        np.testing.assert_array_equal(group_matrix(table, members)[:, 0], img[1:4, 2:5].ravel())
+        assert members.tolist() == [1 * 6 + 2]
 
     def test_exact_duplicate_chosen_before_others(self):
         rng = np.random.default_rng(1)
         img = rng.uniform(0, 255, size=(6, 12))
         img[1:4, 8:11] = img[1:4, 1:4]  # plant one exact duplicate
-        g = extract_group(img, (1, 1), cfg(group_size=2, search_window=10))
-        assert g.member_offsets == [(0, 0), (0, 7)]
+        members = extract_group(patch_table(img, 3), (1, 1), cfg(group_size=2, search_window=10))
+        assert members.tolist() == [1 * 10 + 1, 1 * 10 + 8]
 
     def test_anchor_out_of_bounds(self):
         with pytest.raises(InvalidInputError):
-            extract_group(np.zeros((5, 5)), (4, 0), cfg())
+            extract_group(patch_table(np.zeros((5, 5)), 3), (4, 0), cfg())
 
 
 class TestGroupWeights:
     def test_zero_matrix_uniform_huge(self):
         c = cfg()
-        w = group_weights(np.zeros((9, 4)), c)
+        w = group_weights(np.zeros(4), 4, c)  # spectrum of a 9x4 zero group
         expected = c.weight_constant * 2.0 * c.noise_sigma**2 / c.epsilon
         np.testing.assert_allclose(w, expected)
 
     def test_hand_evaluated_formula(self):
         c = DenoiseConfig(noise_sigma=1.0, weight_constant=1.0, epsilon=1e-16)
-        m = np.zeros((2, 4))
-        m[0, 0] = 10.0  # sigma = [10, 0], k = 4
-        w = group_weights(m, c)
+        w = group_weights(np.array([10.0, 0.0]), 4, c)  # sigma = [10, 0], k = 4
         assert w[0] == pytest.approx(2.0 / np.sqrt(96.0), rel=1e-12)
         assert w[1] == pytest.approx(2.0 / 1e-16)
         assert w[0] <= w[1]
@@ -84,8 +90,91 @@ class TestGroupWeights:
         rng = np.random.default_rng(2)
         c = cfg()
         for _ in range(50):
-            w = group_weights(rng.uniform(0, 255, size=(9, 6)), c)
+            w = group_weights(svd(rng.uniform(0, 255, size=(9, 6))).sigma, 6, c)
             assert np.all(np.diff(w) >= 0)
+
+
+def reference_denoise(img, c):
+    """The denoiser written directly on the 2-D image with numpy only.
+
+    Per anchor: squared distance to every patch in the full search window,
+    stable sort with the anchor first, numpy SVD, closed-form shrinkage with
+    the inverse-estimated-singular-value weights, and each member patch
+    added back with a slice. Returns (output, group count).
+    """
+    p, sw = c.patch_size, c.search_window
+    h, w = img.shape
+
+    def grid(last):
+        g = list(range(0, last + 1, c.stride))
+        return g if g[-1] == last else g + [last]
+
+    acc, cnt = np.zeros_like(img), np.zeros_like(img)
+    groups = 0
+    for r in grid(h - p):
+        for q in grid(w - p):
+            anchor = img[r : r + p, q : q + p]
+            cands = [
+                (i, j)
+                for i in range(max(0, r - sw), min(h - p, r + sw) + 1)
+                for j in range(max(0, q - sw), min(w - p, q + sw) + 1)
+            ]
+            dist = [((img[i : i + p, j : j + p] - anchor) ** 2).sum() for i, j in cands]
+            others = [cands[k] for k in np.argsort(dist, kind="stable") if cands[k] != (r, q)]
+            members = [(r, q)] + others[: c.group_size - 1]
+            y = np.column_stack([img[i : i + p, j : j + p].ravel() for i, j in members])
+            u, s, vt = np.linalg.svd(y, full_matrices=False)
+            k = len(members)
+            s_clean = np.sqrt(np.maximum(s**2 - k * c.noise_sigma**2, 0.0))
+            wts = c.weight_constant * np.sqrt(k) * c.noise_sigma**2 / (s_clean + c.epsilon)
+            x = (u * np.maximum(s - wts / 2.0, 0.0)) @ vt
+            for col, (i, j) in enumerate(members):
+                acc[i : i + p, j : j + p] += x[:, col].reshape(p, p)
+                cnt[i : i + p, j : j + p] += 1.0
+            groups += 1
+    out = img.copy()
+    covered = cnt > 0
+    out[covered] = acc[covered] / cnt[covered]
+    return np.clip(out, 0.0, 255.0), groups
+
+
+# (seed, height, width, integer image, sigma, patch, group, window, stride)
+REFERENCE_CASES = [
+    (0, 12, 12, False, 20.0, 3, 4, 5, 1),
+    (1, 9, 17, False, 15.0, 3, 6, 4, 2),
+    (2, 17, 9, False, 30.0, 5, 8, 3, 3),
+    (3, 10, 14, True, 25.0, 3, 5, 6, 1),
+    (4, 8, 11, False, 10.0, 1, 3, 2, 1),
+    (5, 7, 13, True, 40.0, 1, 5, 3, 3),
+    (6, 13, 6, False, 5.0, 1, 1, 1, 4),
+    (7, 11, 11, False, 20.0, 3, 16, 1, 1),
+    (8, 14, 10, False, 12.0, 5, 20, 1, 2),
+    (9, 6, 15, True, 35.0, 3, 12, 1, 3),
+    (10, 16, 16, False, 20.0, 7, 16, 5, 3),
+    (11, 12, 19, False, 8.0, 5, 9, 4, 4),
+    (12, 7, 7, True, 20.0, 7, 4, 3, 1),
+    (13, 15, 8, False, 50.0, 3, 2, 7, 2),
+    (14, 10, 13, False, 1.0, 3, 7, 2, 1),
+    (15, 5, 20, False, 20.0, 5, 10, 8, 1),
+    (16, 18, 12, True, 15.0, 3, 19, 11, 4),
+    (17, 9, 9, False, 25.0, 1, 9, 1, 2),
+    (18, 13, 17, False, 30.0, 5, 25, 2, 3),
+    (19, 8, 14, True, 20.0, 3, 1, 3, 2),
+]
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_matches_naive_reference(self, case):
+        seed, h, w, integer, sigma, p, k, sw, stride = case
+        rng = np.random.default_rng(seed)
+        img = rng.integers(0, 256, size=(h, w)) if integer else rng.uniform(0, 255, size=(h, w))
+        c = DenoiseConfig(noise_sigma=sigma, patch_size=p, group_size=k, search_window=sw, stride=stride)
+        stats = DenoiseStats()
+        out = denoise(img, c, stats=stats)
+        ref, groups = reference_denoise(img.astype(float), c)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-9)
+        assert stats.groups == groups
 
 
 class TestDenoise:

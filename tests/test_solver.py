@@ -146,14 +146,14 @@ class TestNnmSolve:
         with pytest.raises(InvalidInputError):
             nnm_solve(np.eye(2), -1.0)
 
-    def test_matches_uniform_weight_solve(self):
+    def test_matches_numpy_soft_thresholding(self):
         rng = np.random.default_rng(16)
         for _ in range(100):
             y = rng.uniform(-1, 1, size=(int(rng.integers(1, 7)), int(rng.integers(1, 6))))
             lam = float(rng.uniform(0, 2 * np.linalg.norm(y, 2)))
-            a = nnm_solve(y, lam)
-            b = wnnm_solve(y, np.full(min(y.shape), lam))
-            np.testing.assert_allclose(a.x_star, b.x_star, atol=1e-10)
+            u, s, vt = np.linalg.svd(y, full_matrices=False)
+            ref = (u * np.maximum(s - lam / 2.0, 0.0)) @ vt
+            np.testing.assert_allclose(nnm_solve(y, lam).x_star, ref, atol=1e-10)
 
 
 class TestTraceIdentity:
