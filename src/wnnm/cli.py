@@ -109,7 +109,7 @@ def cmd_denoise(args) -> int:
         stats = DenoiseStats()
         out = denoise(noisy, cfg, stats=stats)
         write_pgm(args.output, out)
-    except OSError as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except WnnmError as exc:

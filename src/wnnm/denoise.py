@@ -1,13 +1,26 @@
 """Desk-scale grayscale denoising on groups of similar patches.
 
 The image is read once into a patch table (every p x p patch, indexed by
-its top-left corner). For each anchor on a stride grid: select the indices
-of the most similar patches in a search window, shrink the matrix of those
-patches with the WNNM operator, and add the result to per-patch sums that
-are folded back onto the pixels at the end. The weight scheme (inverse
-estimated clean singular value) is non-descending by construction, so
-every group takes the closed-form path. It is a demo-only choice, not part
-of the solver contract.
+its top-left corner) and the squared norm of every patch. Anchors lie on a
+stride grid, and the only Python loop runs over anchor rows; within a row
+everything is array code:
+
+* Block matching (``extract_group``). One matmul of the row's anchor
+  patches against every patch in the rows their search windows cover gives
+  the Gram distances ||a||^2 + ||b||^2 - 2 a.b. They carry rounding, so they
+  only shortlist: each anchor keeps the candidates within twice the
+  expansion's rounding bound of its group's K-th Gram distance. The exact
+  squared distances of the shortlist are recomputed, and one lexsort on
+  (anchor, exact distance, scan index) picks the members.
+* Shrinkage. The row's groups of one size are stacked for one ``svd``
+  call. The weights (inverse estimated clean singular value) are
+  non-descending by construction, so the closed-form spectrum kernel
+  applies to every group, and one batched ``reconstruct`` gives the
+  estimates.
+* Aggregation. One ``np.add.at`` adds the row's estimates to per-patch
+  sums, which are folded back onto the pixels at the end.
+
+The weight scheme is a demo-only choice, not part of the solver contract.
 """
 
 from __future__ import annotations
@@ -18,9 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import diag
 from .exceptions import InvalidInputError
-from .linalg import svd
-from .solver import shrink
+from .linalg import reconstruct, svd
 
 
 @dataclass
@@ -34,15 +47,16 @@ class DenoiseConfig:
     stride: int = 3
 
     def __post_init__(self):
-        if self.noise_sigma <= 0:
-            raise InvalidInputError("noise_sigma must be positive")
+        # "not 0 < x < inf" also rejects NaN.
+        if not 0.0 < self.noise_sigma < math.inf:
+            raise InvalidInputError("noise_sigma must be positive and finite")
         if self.patch_size < 1 or self.patch_size % 2 == 0:
             raise InvalidInputError("patch_size must be an odd positive integer")
         for name in ("group_size", "search_window", "stride"):
             if getattr(self, name) < 1:
                 raise InvalidInputError(f"{name} must be a positive integer")
-        if self.weight_constant <= 0 or self.epsilon <= 0:
-            raise InvalidInputError("weight_constant and epsilon must be positive")
+        if not (0.0 < self.weight_constant < math.inf and 0.0 < self.epsilon < math.inf):
+            raise InvalidInputError("weight_constant and epsilon must be positive and finite")
 
 
 @dataclass
@@ -77,42 +91,80 @@ def patch_table(img, p: int) -> np.ndarray:
     return sliding_window_view(img, (p, p)).reshape(h - p + 1, w - p + 1, p * p)
 
 
-def extract_group(table: np.ndarray, anchor: tuple[int, int], cfg: DenoiseConfig) -> np.ndarray:
-    """Flat indices into ``table`` of the cfg.group_size patches in the search
-    window closest to the anchor patch (squared Euclidean distance, ties
-    broken by scan order), the anchor first.
+def extract_group(
+    table: np.ndarray, sq_norms: np.ndarray, row: int, cols, cfg: DenoiseConfig
+) -> np.ndarray:
+    """Members of the groups anchored at ``(row, c)`` for each ``c`` in
+    ``cols``: a (len(cols), K) array of flat indices into ``table``.
 
-    ``anchor`` is the patch's top-left corner. Near the border the window
-    may hold fewer than cfg.group_size patches; all of them are returned.
+    Each group is the cfg.group_size patches in the anchor's search window
+    closest to the anchor patch (squared Euclidean distance, ties broken by
+    scan order), the anchor first. Near the border a window may hold fewer
+    patches; that group takes all of them and its row is padded with -1.
+    ``sq_norms`` holds the squared norm of every patch in ``table``.
     """
-    rows, cols = table.shape[:2]
-    r, c = anchor
-    if not (0 <= r < rows and 0 <= c < cols):
-        raise InvalidInputError(f"anchor {anchor} is outside the {rows}x{cols} patch grid")
+    rows, n_cols, npix = table.shape
+    cols = np.asarray(cols)
+    if not (cols.ndim == 1 and cols.size and 0 <= row < rows
+            and 0 <= cols.min() <= cols.max() < n_cols):
+        raise InvalidInputError(
+            f"anchors ({row}, {cols}) are not in the {rows}x{n_cols} patch grid"
+        )
 
     sw = cfg.search_window
-    r0, r1 = max(0, r - sw), min(rows - 1, r + sw)
-    c0, c1 = max(0, c - sw), min(cols - 1, c + sw)
-    diff = table[r0 : r1 + 1, c0 : c1 + 1] - table[r, c]
-    dist = np.einsum("ijk,ijk->ij", diff, diff).ravel()
+    r0, r1 = max(0, row - sw), min(rows - 1, row + sw)
+    # Candidates: every patch in the window rows, in scan order.
+    cand = table[r0 : r1 + 1].reshape(-1, npix)
+    cand_norms = sq_norms[r0 : r1 + 1].ravel()
+    anchors, a_norms = table[row, cols], sq_norms[row, cols]
+    in_window = np.abs(np.arange(cand.shape[0]) % n_cols - cols[:, None]) <= sw
+    own = (row - r0) * n_cols + cols
+    sizes = np.minimum(cfg.group_size, np.count_nonzero(in_window, axis=1))
 
-    n_cols = c1 - c0 + 1
-    anchor_local = (r - r0) * n_cols + (c - c0)
-    order = np.argsort(dist, kind="stable")
-    local = np.concatenate(([anchor_local], order[order != anchor_local][: cfg.group_size - 1]))
-    return (local // n_cols + r0) * cols + local % n_cols + c0
+    # In place: this (anchors, candidates) array is the row's working set.
+    fast = anchors @ cand.T
+    fast *= -2.0
+    fast += a_norms[:, None]
+    fast += cand_norms
+    fast[~in_window] = np.inf
+    fast[np.arange(cols.size), own] = -np.inf
+    kth = min(cfg.group_size, cand.shape[0]) - 1
+    kth_fast = np.partition(fast, kth, axis=1)[:, kth]
+    # The Gram distance and the exact distance computed below both round by
+    # about npix * eps * (|a|^2 + |b|^2); ``bound`` covers their gap with a
+    # margin, so no true member lies beyond K-th Gram distance + 2 * bound.
+    bound = 4.0 * (npix + 2) * np.finfo(float).eps * (a_norms + cand_norms.max())
+    # "not >" also keeps NaN: an overflowed expansion shortlists the window.
+    keep = in_window & ~(fast > (kth_fast + 2.0 * bound)[:, None])
+
+    a_idx, c_idx = np.nonzero(keep)
+    diff = cand[c_idx] - anchors[a_idx]
+    dist = np.einsum("ij,ij->i", diff, diff)
+    dist[c_idx == own[a_idx]] = -1.0  # the anchor first
+    # a_idx is sorted already and stays in place.
+    c_idx = c_idx[np.lexsort((c_idx, dist, a_idx))]
+    counts = np.bincount(a_idx, minlength=cols.size)
+    pos = np.arange(a_idx.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    take = pos < sizes[a_idx]
+    members = np.full((cols.size, sizes.max()), -1)
+    members[a_idx[take], pos[take]] = r0 * n_cols + c_idx[take]
+    return members
 
 
 def group_weights(sigma, k: int, cfg: DenoiseConfig) -> np.ndarray:
     """Inverse-estimated-singular-value weights for the spectrum ``sigma`` of
-    a group of ``k`` patches; non-descending by construction.
+    a group of ``k`` patches, or for a stack of such spectra along the last
+    axis; non-descending by construction.
 
     The clean singular value is estimated by variance subtraction:
-    sqrt(max(s_i^2 - k * noise_sigma^2, 0)).
+    sqrt(max(s_i^2 - k * noise_sigma^2, 0)). A noise variance beyond the
+    float range gives infinite weights, which shrink every group to zero.
     """
     sigma = np.asarray(sigma, dtype=float)
-    s_clean = np.sqrt(np.maximum(sigma**2 - k * cfg.noise_sigma**2, 0.0))
-    return cfg.weight_constant * math.sqrt(k) * cfg.noise_sigma**2 / (s_clean + cfg.epsilon)
+    # A float product overflows to inf where ``**`` would raise.
+    var = cfg.noise_sigma * cfg.noise_sigma
+    s_clean = np.sqrt(np.maximum(sigma**2 - k * var, 0.0))
+    return cfg.weight_constant * math.sqrt(k) * var / (s_clean + cfg.epsilon)
 
 
 def _anchor_grid(extent: int, stride: int) -> list[int]:
@@ -135,20 +187,32 @@ def denoise(img, cfg: DenoiseConfig, stats: DenoiseStats | None = None) -> np.nd
     img = np.asarray(img, dtype=float)
     rows, cols = table.shape[:2]
     flat = table.reshape(rows * cols, p * p)
+    sq_norms = np.einsum("ijk,ijk->ij", table, table)
+    anchor_cols = np.array(_anchor_grid(cols, cfg.stride))
 
     # Sum of every estimate of each patch, and how many there were.
     patch_acc = np.zeros_like(flat)
     patch_cnt = np.zeros(rows * cols)
     for r in _anchor_grid(rows, cfg.stride):
-        for c in _anchor_grid(cols, cfg.stride):
-            members = extract_group(table, (r, c), cfg)
-            factors = svd(flat[members].T)
-            result = shrink(factors, group_weights(factors.sigma, members.size, cfg))
-            if stats is not None:
-                stats.groups += 1
-                stats.ranks.append(int(np.count_nonzero(result.d.d > 0.0)))
-            np.add.at(patch_acc, members, result.x_star.T)
-            np.add.at(patch_cnt, members, 1.0)
+        members = extract_group(table, sq_norms, r, anchor_cols, cfg)
+        valid = members >= 0
+        sizes = np.count_nonzero(valid, axis=1)
+        ranks = np.empty(sizes.size, dtype=int)
+        estimates = np.empty(members.shape + (p * p,))
+        for k in np.unique(sizes).tolist():
+            sel = sizes == k
+            group = members[sel, :k]
+            # Stack of (pixels, members) group matrices.
+            factors = svd(np.swapaxes(flat[group], 1, 2))
+            w = group_weights(factors.sigma, k, cfg)
+            d = diag.spectrum(factors.sigma, w, diag.SolverPath.CLOSED_FORM)
+            ranks[sel] = np.count_nonzero(d > 0.0, axis=1)
+            estimates[sel, :k] = np.swapaxes(reconstruct(factors, d), 1, 2)
+        np.add.at(patch_acc, members[valid], estimates[valid])
+        patch_cnt += np.bincount(members[valid], minlength=rows * cols)
+        if stats is not None:
+            stats.groups += sizes.size
+            stats.ranks.extend(ranks.tolist())
 
     # Fold patch sums onto pixels: patch offset (i, j) lands on the image
     # shifted by (i, j).

@@ -109,10 +109,19 @@ def project_monotone_nonneg(t) -> np.ndarray:
     return out
 
 
-def _solve(sigma: np.ndarray, w: np.ndarray, path: SolverPath) -> DiagSolution:
-    # The one spectrum kernel: both paths act on the targets t = sigma - w/2.
+def spectrum(sigma, w, path: SolverPath) -> np.ndarray:
+    """The one spectrum kernel, unvalidated: the optimal ``d`` on the
+    targets t = sigma - w/2 by either path.
+
+    The closed form acts elementwise, so it also takes a stack of spectra
+    along the last axis; PAVA takes one vector.
+    """
     t = sigma - w / 2.0
-    d = np.maximum(t, 0.0) if path is SolverPath.CLOSED_FORM else project_monotone_nonneg(t)
+    return np.maximum(t, 0.0) if path is SolverPath.CLOSED_FORM else project_monotone_nonneg(t)
+
+
+def _solve(sigma: np.ndarray, w: np.ndarray, path: SolverPath) -> DiagSolution:
+    d = spectrum(sigma, w, path)
     return DiagSolution(d=d, objective=_objective(d, sigma, w), path=path)
 
 

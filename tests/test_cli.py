@@ -158,6 +158,36 @@ class TestDenoise:
         )
         assert code == 2 and "error" in err
 
+    def test_image_smaller_than_patch_exit_2(self, tmp_path, capsys):
+        src, dst = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        write_pgm(src, np.full((5, 5), 100.0))
+        code, _, err = run(capsys, "denoise", "--in", str(src), "--out", str(dst), "--sigma", "10")
+        assert code == 2 and err.startswith("error: patch_size 7 exceeds image extent 5x5")
+        assert not dst.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--sigma", "nan"), ("--sigma", "inf"), ("--c", "nan"), ("--c", "inf")]
+    )
+    def test_non_finite_parameter_exit_2(self, tmp_path, capsys, flag, value):
+        src, dst = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        write_pgm(src, np.full((8, 8), 100.0))
+        argv = ["denoise", "--in", str(src), "--out", str(dst), "--patch", "3", "--sigma", "10"]
+        code, _, err = run(capsys, *argv, flag, value)
+        assert code == 2 and err.startswith("error: ") and "finite" in err
+        assert not dst.exists()
+
+    def test_huge_sigma_shrinks_to_zero(self, tmp_path, capsys):
+        # The noise variance overflows; the weights become infinite and no
+        # group keeps any signal.
+        src, dst = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        write_pgm(src, np.full((8, 8), 100.0))
+        code, _, err = run(
+            capsys, "denoise", "--in", str(src), "--out", str(dst), "--sigma", "1e200",
+            "--patch", "3", "--group", "4", "--window", "3",
+        )
+        assert code == 0 and err == ""
+        assert np.all(read_pgm(dst) == 0.0)
+
 
 class TestSelftest:
     def test_default_passes(self, capsys):

@@ -32,6 +32,10 @@ class TestConfig:
             {"noise_sigma": 10.0, "patch_size": 4},
             {"noise_sigma": 10.0, "group_size": 0},
             {"noise_sigma": 10.0, "stride": 0},
+            {"noise_sigma": float("nan")},
+            {"noise_sigma": float("inf")},
+            {"noise_sigma": 10.0, "weight_constant": float("nan")},
+            {"noise_sigma": 10.0, "weight_constant": float("inf")},
         ],
     )
     def test_invalid_rejected(self, kw):
@@ -43,10 +47,20 @@ def group_matrix(table, members):
     return table.reshape(-1, table.shape[2])[members].T
 
 
+def sq_norms(table):
+    return np.einsum("ijk,ijk->ij", table, table)
+
+
+def match_one(table, anchor, c):
+    """The members of the one group anchored at ``anchor``."""
+    members = extract_group(table, sq_norms(table), anchor[0], [anchor[1]], c)[0]
+    return members[members >= 0]
+
+
 class TestExtractGroup:
     def test_constant_image_all_columns_identical(self):
         table = patch_table(np.full((10, 10), 42.0), 3)
-        members = extract_group(table, (2, 2), cfg())
+        members = match_one(table, (2, 2), cfg())
         m = group_matrix(table, members)
         assert m.shape == (9, 4)
         assert np.all(m == 42.0)
@@ -56,7 +70,7 @@ class TestExtractGroup:
         rng = np.random.default_rng(0)
         img = rng.uniform(0, 255, size=(8, 8))
         table = patch_table(img, 3)
-        members = extract_group(table, (1, 2), cfg(group_size=1))
+        members = match_one(table, (1, 2), cfg(group_size=1))
         np.testing.assert_array_equal(group_matrix(table, members)[:, 0], img[1:4, 2:5].ravel())
         assert members.tolist() == [1 * 6 + 2]
 
@@ -64,12 +78,50 @@ class TestExtractGroup:
         rng = np.random.default_rng(1)
         img = rng.uniform(0, 255, size=(6, 12))
         img[1:4, 8:11] = img[1:4, 1:4]  # plant one exact duplicate
-        members = extract_group(patch_table(img, 3), (1, 1), cfg(group_size=2, search_window=10))
+        members = match_one(patch_table(img, 3), (1, 1), cfg(group_size=2, search_window=10))
         assert members.tolist() == [1 * 10 + 1, 1 * 10 + 8]
 
     def test_anchor_out_of_bounds(self):
         with pytest.raises(InvalidInputError):
-            extract_group(patch_table(np.zeros((5, 5)), 3), (4, 0), cfg())
+            match_one(patch_table(np.zeros((5, 5)), 3), (4, 0), cfg())
+        with pytest.raises(InvalidInputError):
+            match_one(patch_table(np.zeros((5, 5)), 3), (0, 3), cfg())
+
+
+def matcher_images():
+    rng = np.random.default_rng(11)
+    return {
+        "offset-1e6": 1e6 + rng.uniform(0.0, 1.0, (14, 15)),
+        "offset-1e9": 1e9 + rng.uniform(0.0, 1e-3, (15, 13)),
+        # Period 3 x 4 on integers: every patch has many exact duplicates.
+        "periodic": 10.0 * np.add.outer(np.arange(14) % 3, 2 * (np.arange(16) % 4)),
+        "constant": np.full((12, 13), 7.0),
+        "binary": rng.integers(0, 2, (13, 14)).astype(float),
+    }
+
+
+class TestMatcherAgainstNaive:
+    """Every anchor's members equal the naive exact-distance stable sort.
+
+    The Gram distances of the offset images are off by more than the gaps
+    between exact distances, so ranking by them alone reorders members."""
+
+    # (patch, group, window): the last two hold groups larger than the window.
+    CONFIGS = [(3, 4, 3), (1, 6, 2), (5, 8, 20), (3, 16, 1), (1, 12, 1)]
+
+    @pytest.mark.parametrize("name", sorted(matcher_images()))
+    def test_members_match_naive_sort(self, name):
+        img = matcher_images()[name]
+        for p, k, sw in self.CONFIGS:
+            c = cfg(patch_size=p, group_size=k, search_window=sw)
+            table = patch_table(img, p)
+            rows, cols = table.shape[:2]
+            for r in range(rows):
+                members = extract_group(table, sq_norms(table), r, np.arange(cols), c)
+                for q in range(cols):
+                    got = members[q][members[q] >= 0]
+                    expected = [i * cols + j for i, j in naive_group(img, (r, q), c)]
+                    assert got.tolist() == expected, (name, p, k, sw, r, q)
 
 
 class TestGroupWeights:
@@ -94,15 +146,32 @@ class TestGroupWeights:
             assert np.all(np.diff(w) >= 0)
 
 
+def naive_group(img, anchor, c):
+    """Top-left corners of the group at ``anchor``, matched on the 2-D image:
+    exact squared distance to every patch in the search window, a stable
+    sort, and the anchor first."""
+    p, sw = c.patch_size, c.search_window
+    h, w = img.shape
+    r, q = anchor
+    cands = [
+        (i, j)
+        for i in range(max(0, r - sw), min(h - p, r + sw) + 1)
+        for j in range(max(0, q - sw), min(w - p, q + sw) + 1)
+    ]
+    patch = img[r : r + p, q : q + p]
+    dist = [((img[i : i + p, j : j + p] - patch) ** 2).sum() for i, j in cands]
+    others = [cands[k] for k in np.argsort(dist, kind="stable") if cands[k] != (r, q)]
+    return [(r, q)] + others[: c.group_size - 1]
+
+
 def reference_denoise(img, c):
     """The denoiser written directly on the 2-D image with numpy only.
 
-    Per anchor: squared distance to every patch in the full search window,
-    stable sort with the anchor first, numpy SVD, closed-form shrinkage with
+    Per anchor: the group from ``naive_group``, numpy SVD, closed-form shrinkage with
     the inverse-estimated-singular-value weights, and each member patch
     added back with a slice. Returns (output, group count).
     """
-    p, sw = c.patch_size, c.search_window
+    p = c.patch_size
     h, w = img.shape
 
     def grid(last):
@@ -113,15 +182,7 @@ def reference_denoise(img, c):
     groups = 0
     for r in grid(h - p):
         for q in grid(w - p):
-            anchor = img[r : r + p, q : q + p]
-            cands = [
-                (i, j)
-                for i in range(max(0, r - sw), min(h - p, r + sw) + 1)
-                for j in range(max(0, q - sw), min(w - p, q + sw) + 1)
-            ]
-            dist = [((img[i : i + p, j : j + p] - anchor) ** 2).sum() for i, j in cands]
-            others = [cands[k] for k in np.argsort(dist, kind="stable") if cands[k] != (r, q)]
-            members = [(r, q)] + others[: c.group_size - 1]
+            members = naive_group(img, (r, q), c)
             y = np.column_stack([img[i : i + p, j : j + p].ravel() for i, j in members])
             u, s, vt = np.linalg.svd(y, full_matrices=False)
             k = len(members)
@@ -209,18 +270,29 @@ class TestDenoise:
         assert 0 <= stats.mean_rank <= 4
 
     def test_one_svd_per_group(self, monkeypatch):
-        calls = []
+        # Each group is decomposed exactly once, in at most one stacked call
+        # per anchor row and group size. The second config's border windows
+        # hold fewer patches than a group, so its rows mix group sizes.
         real_svd = np.linalg.svd
-
-        def counting_svd(*args, **kwargs):
-            calls.append(1)
-            return real_svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        stats = DenoiseStats()
         rng = np.random.default_rng(7)
-        denoise(rng.uniform(0, 255, size=(12, 12)), cfg(), stats=stats)
-        assert stats.groups > 0 and len(calls) == stats.groups
+        img = rng.uniform(0, 255, size=(12, 12))
+        for c in (cfg(), cfg(group_size=6, search_window=1)):
+            batches = []
+
+            def counting_svd(a, *args, **kwargs):
+                batches.append(int(np.prod(np.shape(a)[:-2])))
+                return real_svd(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, "svd", counting_svd)
+            stats = DenoiseStats()
+            denoise(img, c, stats=stats)
+            assert stats.groups > 0 and sum(batches) == stats.groups
+
+            extent = 12 - c.patch_size + 1  # anchors per axis at stride 1
+            span = [min(extent - 1, i + c.search_window) - max(0, i - c.search_window) + 1
+                    for i in range(extent)]
+            size_sets = [{min(c.group_size, a * b) for b in span} for a in span]
+            assert len(batches) <= sum(len(sizes) for sizes in size_sets)
 
     def test_patch_too_large(self):
         with pytest.raises(InvalidInputError):

@@ -187,3 +187,28 @@ def test_pava_feasible_and_dominant_property(raw_sigma, data):
     # projecting the optimum back onto the cone changes nothing
     resolved = pava_solve(np.maximum.accumulate(sol.d[::-1])[::-1], np.zeros_like(w))
     np.testing.assert_allclose(resolved.d, sol.d, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 20000), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 30.0, 300.0]))
+def test_pava_kkt_certificate_property(n, seed, spread):
+    """The KKT conditions of the spectrum QP certify pava_solve at sizes the
+    grid oracle and projected gradient cannot reach.
+
+    With targets t = sigma - w/2, stationarity fixes the multiplier of
+    d_i >= d_{i+1} as lambda_i = lambda_{i-1} + 2 (d_i - t_i), lambda_0 = 0,
+    and lambda_n is the multiplier of d_n >= 0. A feasible d is optimal iff
+    every lambda is nonnegative and is zero where its constraint is slack.
+    """
+    rng = np.random.default_rng(seed)
+    sigma = np.sort(rng.uniform(0.0, 100.0, n))[::-1].copy()
+    w = rng.uniform(0.0, spread, n)  # arbitrary order: PAVA pools and clamps
+    d = pava_solve(sigma, w).d
+    t = sigma - w / 2.0
+    lam = 2.0 * np.cumsum(d - t)
+    # The running sum of n terms rounds by at most ~n * eps * max|t| each way.
+    tol = 4.0 * n * np.finfo(float).eps * (1.0 + np.abs(t).max())
+    slack = np.append(d[:-1] > d[1:], d[-1] > 0.0)
+    assert feasible(d)
+    assert lam.min() >= -tol
+    assert np.all(np.abs(lam[slack]) <= tol)

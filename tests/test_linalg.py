@@ -52,6 +52,30 @@ def test_svd_sign_convention_deterministic():
             assert col[np.abs(col).argmax()] >= 0
 
 
+def test_svd_stack_matches_per_matrix():
+    rng = np.random.default_rng(8)
+    for shape in [(3, 2, 5, 4), (4, 3, 6)]:  # a stack of tall, and of wide matrices
+        ys = rng.standard_normal(shape)
+        f = svd(ys)
+        assert f.shape == shape[-2:]
+        np.testing.assert_allclose(reconstruct(f, f.sigma), ys, atol=1e-12)
+        for idx in np.ndindex(shape[:-2]):
+            g = svd(ys[idx])
+            np.testing.assert_array_equal(f.u[idx], g.u)
+            np.testing.assert_array_equal(f.sigma[idx], g.sigma)
+            np.testing.assert_array_equal(f.v[idx], g.v)
+            for j in range(g.u.shape[1]):
+                col = f.u[idx][:, j]
+                assert col[np.abs(col).argmax()] >= 0
+
+
+def test_svd_stack_rejects_nonfinite():
+    ys = np.ones((3, 4, 2))
+    ys[2, 1, 0] = np.inf
+    with pytest.raises(InvalidInputError):
+        svd(ys)
+
+
 def test_reconstruct_examples():
     f = svd(np.diag([3.0, 1.0]))
     np.testing.assert_allclose(reconstruct(f, [3.0, 1.0]), np.diag([3.0, 1.0]), atol=1e-12)
