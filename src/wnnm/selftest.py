@@ -2,7 +2,8 @@
 
 Each suite cross-checks one analytic claim against an independent route:
 PAVA vs grid oracle, PAVA vs projected gradient, nnm_solve vs direct
-soft-thresholding of numpy's SVD, and the spectral trace identity.
+soft-thresholding of numpy's SVD, the spectral trace identity, and the KKT
+certificate of the spectrum QP at sizes up to n = 20000.
 Output is deterministic for a fixed seed.
 """
 
@@ -13,8 +14,8 @@ import numpy as np
 from . import diag, solver
 
 SCALE_COUNTS = {
-    "small": {"oracle": 25, "cross": 25, "trace": 10, "nnm": 20, "trace_trials": 100},
-    "full": {"oracle": 200, "cross": 200, "trace": 100, "nnm": 100, "trace_trials": 1000},
+    "small": {"oracle": 25, "cross": 25, "trace": 10, "nnm": 20, "trace_trials": 100, "kkt": 10},
+    "full": {"oracle": 200, "cross": 200, "trace": 100, "nnm": 100, "trace_trials": 1000, "kkt": 100},
 }
 
 
@@ -92,6 +93,38 @@ def suite_nnm_equivalence(rng, count):
     return None
 
 
+def kkt_violation(sigma, w, d) -> tuple[float, float]:
+    """How far a feasible ``d`` is from the KKT conditions of the spectrum
+    QP, and the rounding bound that violation must stay within.
+
+    With targets t = sigma - w/2, stationarity fixes the multiplier of
+    d_i >= d_{i+1} as lambda_i = lambda_{i-1} + 2 (d_i - t_i), lambda_0 = 0,
+    and lambda_n is the multiplier of d_n >= 0. A feasible d is optimal iff
+    every lambda is nonnegative and is zero where its constraint is slack.
+    The check is O(n), so it certifies sizes the oracle cannot reach.
+    """
+    t = sigma - w / 2.0
+    lam = 2.0 * np.cumsum(d - t)
+    slack = np.append(d[:-1] > d[1:], d[-1] > 0.0)
+    violation = max(-float(lam.min()), float(np.abs(lam[slack]).max(initial=0.0)))
+    # The running sum of n terms rounds by at most ~n * eps * max|t| each way.
+    bound = 4.0 * d.size * np.finfo(float).eps * (1.0 + float(np.abs(t).max()))
+    return violation, bound
+
+
+def suite_kkt_certificate(rng, count):
+    """PAVA's spectrum is feasible and meets the KKT conditions (n <= 20000)."""
+    for i in range(count):
+        n = int(rng.integers(1, 20001))
+        sigma = random_sigma(rng, n, top=100.0)
+        w = rng.uniform(0.0, float(rng.choice([1.0, 30.0, 300.0])), size=n)
+        d = diag.pava_solve(sigma, w).d
+        violation, bound = kkt_violation(sigma, w, d)
+        if not (np.all(np.diff(d) <= 0.0) and d[-1] >= 0.0 and violation <= bound):
+            return f"instance {i}: n={n} kkt violation={_fmt(violation)} bound={_fmt(bound)}"
+    return None
+
+
 def run_selftest(seed: int, scale: str, out=None) -> int:
     """Run all suites; print one pass/fail line each. Returns 0 iff all pass."""
     import sys
@@ -104,6 +137,7 @@ def run_selftest(seed: int, scale: str, out=None) -> int:
         ("cross-solver", lambda: suite_cross_solver(rng, counts["cross"])),
         ("trace-identity", lambda: suite_trace_identity(rng, counts["trace"], counts["trace_trials"])),
         ("nnm-equivalence", lambda: suite_nnm_equivalence(rng, counts["nnm"])),
+        ("kkt-certificate", lambda: suite_kkt_certificate(rng, counts["kkt"])),
     ]
     failures = 0
     for name, fn in suites:

@@ -2,9 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wnnm.diag
-from wnnm import nnm_solve, read_pgm, write_pgm
+from wnnm import InvalidInputError, nnm_solve, read_pgm, write_pgm
 from wnnm.cli import main, read_matrix_csv, write_matrix_csv
 
 
@@ -193,7 +195,7 @@ class TestSelftest:
     def test_default_passes(self, capsys):
         code, stdout, _ = run(capsys, "selftest")
         assert code == 0
-        assert stdout.count("PASS") == 4
+        assert stdout.count("PASS") == 5
 
     def test_injected_bug_fails(self, capsys, monkeypatch):
         real_oracle = wnnm.diag.brute_force_oracle
@@ -206,3 +208,30 @@ class TestSelftest:
         code, stdout, _ = run(capsys, "selftest")
         assert code == 1
         assert "oracle-dominance: FAIL" in stdout
+
+
+CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.text(alphabet=" \t.,+-_eEinfatyINF0123456789x\x00", max_size=6),
+)
+
+CSV_SHAPED = st.builds(
+    lambda rows, newline: newline.join(",".join(row) for row in rows).encode("ascii"),
+    st.lists(st.lists(CELLS, min_size=1, max_size=4), max_size=4),
+    st.sampled_from(["\n", "\r\n", "\r", "\n\n", " \n"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=120), CSV_SHAPED))
+def test_read_matrix_csv_parses_or_rejects_any_bytes(tmp_path_factory, data):
+    """Every byte string either parses into a matrix or raises
+    InvalidInputError; no other exception escapes."""
+    path = tmp_path_factory.mktemp("fuzz") / "m.csv"
+    path.write_bytes(data)
+    try:
+        m = read_matrix_csv(path)
+    except InvalidInputError:
+        return
+    assert m.ndim == 2 and m.size >= 1 and m.dtype == float

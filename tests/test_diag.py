@@ -14,6 +14,8 @@ from wnnm import (
     pava_solve,
     projgrad_reference,
 )
+from wnnm.diag import project_monotone_nonneg
+from wnnm.selftest import kkt_violation
 
 
 def random_instance(rng, n_max=10):
@@ -193,22 +195,77 @@ def test_pava_feasible_and_dominant_property(raw_sigma, data):
 @given(st.integers(1, 20000), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 30.0, 300.0]))
 def test_pava_kkt_certificate_property(n, seed, spread):
     """The KKT conditions of the spectrum QP certify pava_solve at sizes the
-    grid oracle and projected gradient cannot reach.
-
-    With targets t = sigma - w/2, stationarity fixes the multiplier of
-    d_i >= d_{i+1} as lambda_i = lambda_{i-1} + 2 (d_i - t_i), lambda_0 = 0,
-    and lambda_n is the multiplier of d_n >= 0. A feasible d is optimal iff
-    every lambda is nonnegative and is zero where its constraint is slack.
-    """
+    grid oracle and projected gradient cannot reach."""
     rng = np.random.default_rng(seed)
     sigma = np.sort(rng.uniform(0.0, 100.0, n))[::-1].copy()
     w = rng.uniform(0.0, spread, n)  # arbitrary order: PAVA pools and clamps
     d = pava_solve(sigma, w).d
-    t = sigma - w / 2.0
-    lam = 2.0 * np.cumsum(d - t)
-    # The running sum of n terms rounds by at most ~n * eps * max|t| each way.
-    tol = 4.0 * n * np.finfo(float).eps * (1.0 + np.abs(t).max())
-    slack = np.append(d[:-1] > d[1:], d[-1] > 0.0)
+    violation, bound = kkt_violation(sigma, w, d)
     assert feasible(d)
-    assert lam.min() >= -tol
-    assert np.all(np.abs(lam[slack]) <= tol)
+    assert violation <= bound
+
+
+def naive_pava(t):
+    """Reference projection: per-element stack PAVA, then clamp at zero."""
+    sums, counts = [], []
+    for x in np.asarray(t, dtype=float).tolist():
+        s, c = x, 1
+        while sums and sums[-1] / counts[-1] < s / c:
+            s += sums.pop()
+            c += counts.pop()
+        sums.append(s)
+        counts.append(c)
+    out = np.repeat(np.array(sums) / np.array(counts), counts)
+    return np.maximum(out, 0.0)
+
+
+def assert_matches_naive(t):
+    d = project_monotone_nonneg(t)
+    ref = naive_pava(t)
+    assert d.shape == ref.shape
+    assert np.all(np.diff(d) <= 0.0) and np.all(d >= 0.0)
+    scale = 1.0 + (np.abs(t).max() if t.size else 0.0)
+    assert np.abs(d - ref).max(initial=0.0) <= 1e-12 * scale
+
+
+def family_targets(family, n, rng, scale):
+    """Targets of one adversarial family for the projection."""
+    if family == "non-increasing":
+        return np.sort(rng.uniform(-scale, scale, n))[::-1].copy()
+    if family == "increasing":  # strictly: the whole vector pools into one block
+        return np.cumsum(rng.uniform(0.01, 1.0, n)) * scale
+    if family == "cascade":  # [n-1, ..., 1, huge]: one merge, then the stack loop
+        return np.append(np.arange(n - 1, 0, -1.0), 1e9)[:n] * scale
+    if family == "sawtooth":
+        period = int(rng.integers(2, 50))
+        return (np.arange(n) % period) * scale
+    if family == "equal-means":  # small integers: many exact ties between blocks
+        return np.repeat(rng.integers(0, 4, n), rng.integers(1, 6, n))[:n] * scale
+    if family == "noise":
+        return rng.standard_normal(n) * scale
+    # the spectrum-20k recipe: sorted sigma, sorted weights plus noise
+    sigma = np.sort(rng.uniform(0.0, 100.0, n))[::-1]
+    w = np.abs(np.sort(rng.uniform(0.0, 20.0, n)) + scale * rng.standard_normal(n))
+    return sigma - w / 2.0
+
+
+FAMILIES = ["non-increasing", "increasing", "cascade", "sawtooth", "equal-means", "noise",
+            "spectrum"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(0, 20000), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-3, 1.0, 40.0, 1e6]))
+def test_projection_matches_naive_pava_property(family, n, seed, scale):
+    assert_matches_naive(family_targets(family, n, np.random.default_rng(seed), scale))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e12, 1e12), max_size=2))
+def test_projection_matches_naive_pava_tiny(values):
+    assert_matches_naive(np.array(values, dtype=float))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_projection_matches_naive_pava_at_20k(family):
+    assert_matches_naive(family_targets(family, 20000, np.random.default_rng(11), 1.0))

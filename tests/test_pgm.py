@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wnnm import InvalidInputError, read_pgm, write_pgm
 
@@ -39,3 +41,36 @@ def test_malformed_rejected(tmp_path, data):
     path.write_bytes(data)
     with pytest.raises(InvalidInputError):
         read_pgm(path)
+
+
+def _field(digits):
+    return st.one_of(st.integers(-3, 70).map(lambda v: str(v).encode()),
+                     st.binary(max_size=4), st.just(digits))
+
+
+SEPARATORS = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"\n# note\n", b"#", b""])
+
+PGM_SHAPED = st.builds(
+    lambda magic, seps, width, height, maxval, raster: b"".join(
+        (magic, seps[0], width, seps[1], height, seps[2], maxval, seps[3], raster)),
+    st.sampled_from([b"P5", b"P2", b"P6", b"p5", b""]),
+    st.lists(SEPARATORS, min_size=4, max_size=4),
+    _field(b"3"),
+    _field(b"2"),
+    _field(b"255"),
+    st.binary(max_size=40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=120), PGM_SHAPED))
+def test_read_pgm_parses_or_rejects_any_bytes(tmp_path_factory, data):
+    """Every byte string either parses into an image or raises
+    InvalidInputError; no other exception escapes."""
+    path = tmp_path_factory.mktemp("fuzz") / "img.pgm"
+    path.write_bytes(data)
+    try:
+        img = read_pgm(path)
+    except InvalidInputError:
+        return
+    assert img.ndim == 2 and img.size >= 1 and img.dtype == float
