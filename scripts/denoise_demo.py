@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Generate a noisy stripe fixture, denoise it, and report PSNR and the
-wall time of the ``denoise`` call.
+"""Generate a noisy stripe fixture, denoise it, and report PSNR, the wall
+time of the ``denoise`` call and the peak resident set size of the process.
 
 Writes clean/noisy/denoised PGMs next to the chosen output prefix so the
 result can be eyeballed.
 """
 
 import argparse
+import resource
 import time
 
 import numpy as np
@@ -37,7 +38,9 @@ def main():
     write_pgm(f"{args.prefix}_denoised.pgm", out)
 
     print(f"groups processed: {stats.groups}, mean rank: {stats.mean_rank:.2f}")
-    print(f"denoise wall time: {seconds:.3f} s")
+    # ru_maxrss is in KiB on Linux.
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(f"denoise wall time: {seconds:.3f} s, peak RSS: {peak_mb:.1f} MB")
     print(f"PSNR noisy:    {psnr(noisy, clean):.3f} dB")
     print(f"PSNR denoised: {psnr(out, clean):.3f} dB")
 

@@ -12,13 +12,17 @@ everything is array code:
   expansion's rounding bound of its group's K-th Gram distance. The exact
   squared distances of the shortlist are recomputed, and one lexsort on
   (anchor, exact distance, scan index) picks the members.
-* Shrinkage. The row's groups of one size are stacked for one ``svd``
-  call. The weights (inverse estimated clean singular value) are
-  non-descending by construction, so the closed-form spectrum kernel
-  applies to every group, and one batched ``reconstruct`` gives the
-  estimates.
-* Aggregation. One ``np.add.at`` adds the row's estimates to per-patch
-  sums, which are folded back onto the pixels at the end.
+* Shrinkage. One ``svd`` call takes all of the row's groups, the border
+  groups (fewer than K patches in the window) padded with zero columns.
+  That is exact: zero columns leave a group's min(p*p, k) singular values
+  unchanged and add only zeros, whose ``d`` is set to 0 (LAPACK can return
+  them at rounding level, which a tiny noise level would not shrink away).
+  The weights (inverse estimated clean singular value, each group with its
+  own k) are non-descending, so the closed-form spectrum kernel applies to
+  every group, and one batched ``reconstruct`` gives the estimates.
+* Aggregation. Each member's estimate is summed straight onto the pixels
+  it covers: one ``np.bincount`` per row for the sums and one for the
+  counts, on flat pixel indices (top-left pixel plus patch offset).
 
 The weight scheme is a demo-only choice, not part of the solver contract.
 """
@@ -34,6 +38,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import diag
 from .exceptions import InvalidInputError
 from .linalg import reconstruct, svd
+from .pgm import check_image
 
 
 @dataclass
@@ -69,20 +74,11 @@ class DenoiseStats:
         return float(np.mean(self.ranks)) if self.ranks else 0.0
 
 
-def check_image(img) -> np.ndarray:
-    img = np.asarray(img, dtype=float)
-    if img.ndim != 2 or img.shape[0] < 1 or img.shape[1] < 1:
-        raise InvalidInputError(f"expected a nonempty 2-D image, got shape {img.shape}")
-    if not np.all(np.isfinite(img)):
-        raise InvalidInputError("image contains NaN or Inf")
-    return img
-
-
 def patch_table(img, p: int) -> np.ndarray:
     """Every p x p patch of ``img`` as a (H-p+1, W-p+1, p*p) array.
 
     Entry ``[i, j]`` is the flattened patch whose top-left corner is
-    ``(i, j)``. This is the one place the denoiser validates its image.
+    ``(i, j)``.
     """
     img = check_image(img)
     h, w = img.shape
@@ -119,7 +115,9 @@ def extract_group(
     anchors, a_norms = table[row, cols], sq_norms[row, cols]
     in_window = np.abs(np.arange(cand.shape[0]) % n_cols - cols[:, None]) <= sw
     own = (row - r0) * n_cols + cols
-    sizes = np.minimum(cfg.group_size, np.count_nonzero(in_window, axis=1))
+    # Python's min first: a group_size beyond the C long range stays out of numpy.
+    k_max = min(cfg.group_size, cand.shape[0])
+    sizes = np.minimum(k_max, np.count_nonzero(in_window, axis=1))
 
     # In place: this (anchors, candidates) array is the row's working set.
     fast = anchors @ cand.T
@@ -128,8 +126,7 @@ def extract_group(
     fast += cand_norms
     fast[~in_window] = np.inf
     fast[np.arange(cols.size), own] = -np.inf
-    kth = min(cfg.group_size, cand.shape[0]) - 1
-    kth_fast = np.partition(fast, kth, axis=1)[:, kth]
+    kth_fast = np.partition(fast, k_max - 1, axis=1)[:, k_max - 1]
     # The Gram distance and the exact distance computed below both round by
     # about npix * eps * (|a|^2 + |b|^2); ``bound`` covers their gap with a
     # margin, so no true member lies beyond K-th Gram distance + 2 * bound.
@@ -151,12 +148,14 @@ def extract_group(
     return members
 
 
-def group_weights(sigma, k: int, cfg: DenoiseConfig) -> np.ndarray:
+def group_weights(sigma, k, cfg: DenoiseConfig) -> np.ndarray:
     """Inverse-estimated-singular-value weights for the spectrum ``sigma`` of
     a group of ``k`` patches, or for a stack of such spectra along the last
     axis; non-descending by construction.
 
-    The clean singular value is estimated by variance subtraction:
+    ``k`` is one patch count for every spectrum, or one per spectrum of a
+    stack, shaped to broadcast against ``sigma`` (``(n, 1)`` for ``n``
+    spectra). The clean singular value is estimated by variance subtraction:
     sqrt(max(s_i^2 - k * noise_sigma^2, 0)). A noise variance beyond the
     float range gives infinite weights, which shrink every group to zero.
     """
@@ -164,7 +163,7 @@ def group_weights(sigma, k: int, cfg: DenoiseConfig) -> np.ndarray:
     # A float product overflows to inf where ``**`` would raise.
     var = cfg.noise_sigma * cfg.noise_sigma
     s_clean = np.sqrt(np.maximum(sigma**2 - k * var, 0.0))
-    return cfg.weight_constant * math.sqrt(k) * var / (s_clean + cfg.epsilon)
+    return cfg.weight_constant * np.sqrt(k) * var / (s_clean + cfg.epsilon)
 
 
 def _anchor_grid(extent: int, stride: int) -> list[int]:
@@ -183,52 +182,43 @@ def denoise(img, cfg: DenoiseConfig, stats: DenoiseStats | None = None) -> np.nd
     clamped to [0, 255].
     """
     p = cfg.patch_size
+    img = check_image(img)
     table = patch_table(img, p)
-    img = np.asarray(img, dtype=float)
+    h, w = img.shape
     rows, cols = table.shape[:2]
     flat = table.reshape(rows * cols, p * p)
     sq_norms = np.einsum("ijk,ijk->ij", table, table)
     anchor_cols = np.array(_anchor_grid(cols, cfg.stride))
+    # Flat pixel index of each entry of a patch, relative to its top-left.
+    offsets = (np.arange(p)[:, None] * w + np.arange(p)).ravel()
 
-    # Sum of every estimate of each patch, and how many there were.
-    patch_acc = np.zeros_like(flat)
-    patch_cnt = np.zeros(rows * cols)
+    # Sum of every estimate of each pixel, and how many there were.
+    acc = np.zeros(h * w)
+    cnt = np.zeros(h * w)
     for r in _anchor_grid(rows, cfg.stride):
         members = extract_group(table, sq_norms, r, anchor_cols, cfg)
         valid = members >= 0
         sizes = np.count_nonzero(valid, axis=1)
-        ranks = np.empty(sizes.size, dtype=int)
-        estimates = np.empty(members.shape + (p * p,))
-        for k in np.unique(sizes).tolist():
-            sel = sizes == k
-            group = members[sel, :k]
-            # Stack of (pixels, members) group matrices.
-            factors = svd(np.swapaxes(flat[group], 1, 2))
-            w = group_weights(factors.sigma, k, cfg)
-            d = diag.spectrum(factors.sigma, w, diag.SolverPath.CLOSED_FORM)
-            ranks[sel] = np.count_nonzero(d > 0.0, axis=1)
-            estimates[sel, :k] = np.swapaxes(reconstruct(factors, d), 1, 2)
-        np.add.at(patch_acc, members[valid], estimates[valid])
-        patch_cnt += np.bincount(members[valid], minlength=rows * cols)
+        # Stack of (pixels, members) group matrices. Zero columns pad the
+        # border groups to the row's widest; see the module docstring.
+        groups = np.where(valid[..., None], flat[members], 0.0)
+        factors = svd(np.swapaxes(groups, 1, 2))
+        weights = group_weights(factors.sigma, sizes[:, None], cfg)
+        d = diag.spectrum(factors.sigma, weights, diag.SolverPath.CLOSED_FORM)
+        d[np.arange(d.shape[1]) >= np.minimum(p * p, sizes)[:, None]] = 0.0
+        estimates = np.swapaxes(reconstruct(factors, d), 1, 2)[valid]
+        m = members[valid]
+        pix = ((m // cols * w + m % cols)[:, None] + offsets).ravel()
+        acc += np.bincount(pix, weights=estimates.ravel(), minlength=h * w)
+        cnt += np.bincount(pix, minlength=h * w)
         if stats is not None:
             stats.groups += sizes.size
-            stats.ranks.extend(ranks.tolist())
+            stats.ranks.extend(np.count_nonzero(d > 0.0, axis=1).tolist())
 
-    # Fold patch sums onto pixels: patch offset (i, j) lands on the image
-    # shifted by (i, j).
-    patch_acc = patch_acc.reshape(rows, cols, p, p)
-    patch_cnt = patch_cnt.reshape(rows, cols)
-    acc = np.zeros_like(img)
-    cnt = np.zeros_like(img)
-    for i in range(p):
-        for j in range(p):
-            acc[i : i + rows, j : j + cols] += patch_acc[:, :, i, j]
-            cnt[i : i + rows, j : j + cols] += patch_cnt
-
-    out = img.copy()
+    out = img.flatten()
     covered = cnt > 0
     out[covered] = acc[covered] / cnt[covered]
-    return np.clip(out, 0.0, 255.0)
+    return np.clip(out.reshape(h, w), 0.0, 255.0)
 
 
 def psnr(a, b) -> float:

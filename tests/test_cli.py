@@ -190,6 +190,22 @@ class TestDenoise:
         assert code == 0 and err == ""
         assert np.all(read_pgm(dst) == 0.0)
 
+    def test_group_beyond_c_long_takes_whole_window(self, tmp_path, capsys):
+        # A group larger than every window takes the whole window, however
+        # large: 10**20 does not fit a C long.
+        src = tmp_path / "in.pgm"
+        write_pgm(src, np.random.default_rng(2).integers(0, 256, size=(16, 16)))
+        outputs = []
+        for group in (10**20, 10**7):
+            dst = tmp_path / f"out{group}.pgm"
+            code, _, err = run(
+                capsys, "denoise", "--in", str(src), "--out", str(dst), "--sigma", "20",
+                "--patch", "3", "--group", str(group),
+            )
+            assert code == 0 and err == ""
+            outputs.append(dst.read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 class TestSelftest:
     def test_default_passes(self, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -270,9 +272,9 @@ class TestDenoise:
         assert 0 <= stats.mean_rank <= 4
 
     def test_one_svd_per_group(self, monkeypatch):
-        # Each group is decomposed exactly once, in at most one stacked call
-        # per anchor row and group size. The second config's border windows
-        # hold fewer patches than a group, so its rows mix group sizes.
+        # Each anchor row makes exactly one stacked SVD call over all of its
+        # groups. The second config's border windows hold fewer patches than
+        # a group, so its rows mix group sizes.
         real_svd = np.linalg.svd
         rng = np.random.default_rng(7)
         img = rng.uniform(0, 255, size=(12, 12))
@@ -286,13 +288,39 @@ class TestDenoise:
             monkeypatch.setattr(np.linalg, "svd", counting_svd)
             stats = DenoiseStats()
             denoise(img, c, stats=stats)
-            assert stats.groups > 0 and sum(batches) == stats.groups
-
             extent = 12 - c.patch_size + 1  # anchors per axis at stride 1
-            span = [min(extent - 1, i + c.search_window) - max(0, i - c.search_window) + 1
-                    for i in range(extent)]
-            size_sets = [{min(c.group_size, a * b) for b in span} for a in span]
-            assert len(batches) <= sum(len(sizes) for sizes in size_sets)
+            assert stats.groups == extent * extent
+            assert batches == [extent] * extent
+
+    def test_padding_adds_no_rank(self):
+        # At a noise level far below rounding, every singular value of a
+        # random group survives, so each group's rank is min(p*p, k). For
+        # 49 x 40 stacks, LAPACK returns the padding's zero singular values
+        # at rounding level rather than exactly zero.
+        rng = np.random.default_rng(8)
+        img = rng.uniform(0, 255, size=(20, 22))
+        c = cfg(noise_sigma=1e-20, patch_size=7, group_size=40, search_window=3)
+        stats = DenoiseStats()
+        denoise(img, c, stats=stats)
+        table = patch_table(img, 7)
+        rows, cols = table.shape[:2]
+        members = [extract_group(table, sq_norms(table), r, np.arange(cols), c) for r in range(rows)]
+        sizes = np.concatenate([np.count_nonzero(m >= 0, axis=1) for m in members])
+        assert stats.ranks == np.minimum(49, sizes).tolist()
+
+    def test_peak_memory_holds_one_patch_table(self):
+        # The patch table is the one whole-image per-patch array; a second
+        # one (per-patch sums, say) would double the peak.
+        rng = np.random.default_rng(9)
+        img = rng.uniform(0, 255, size=(128, 128))
+        table_bytes = patch_table(img, 7).nbytes
+        tracemalloc.start()
+        try:
+            denoise(img, DenoiseConfig(noise_sigma=20.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * table_bytes
 
     def test_patch_too_large(self):
         with pytest.raises(InvalidInputError):
