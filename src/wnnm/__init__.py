@@ -6,7 +6,6 @@ from .diag import (
     SolverPath,
     brute_force_oracle,
     closed_form,
-    objective_diag,
     pava_solve,
     project_monotone_nonneg,
     projgrad_reference,
@@ -41,7 +40,6 @@ __all__ = [
     "gram_defect",
     "group_weights",
     "nnm_solve",
-    "objective_diag",
     "objective_full",
     "patch_table",
     "pava_solve",

@@ -213,7 +213,9 @@ def denoise(img, cfg: DenoiseConfig, stats: DenoiseStats | None = None) -> np.nd
         cnt += np.bincount(pix, minlength=h * w)
         if stats is not None:
             stats.groups += sizes.size
-            stats.ranks.extend(np.count_nonzero(d > 0.0, axis=1).tolist())
+            # numpy.linalg.matrix_rank's cut: values below it are rounding.
+            tol = np.maximum(p * p, sizes) * np.finfo(float).eps * factors.sigma[:, 0]
+            stats.ranks.extend(np.count_nonzero(d > tol[:, None], axis=1).tolist())
 
     out = img.flatten()
     covered = cnt > 0

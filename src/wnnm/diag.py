@@ -6,9 +6,10 @@ d_1 >= d_2 >= ... >= d_n >= 0.
 Completing the square turns this into Euclidean projection of the targets
 t_i = sigma_i - w_i / 2 onto the non-increasing nonnegative cone, which
 pool-adjacent-violators (PAVA) plus a final clamp solves exactly. PAVA runs
-as vectorized block-merge passes followed by a stack loop over the blocks
-that remain; pooling adjacent violators in any order reaches the same
-optimum, so the split costs no exactness. A closed form covers
+as vectorized block-merge passes (``np.bincount`` on block ids) under a
+budget of 4n visited blocks; only past that budget does a stack loop finish
+the blocks that remain. Pooling adjacent violators in any order reaches the
+same optimum, so the split costs no exactness. A closed form covers
 non-descending weights, and two independent checks (projected gradient,
 grid search) validate the fast paths.
 """
@@ -73,18 +74,6 @@ def _objective(d, sigma, w) -> float:
     return float(np.sum((d - sigma) ** 2 + w * d))
 
 
-def objective_diag(d, sigma, w) -> float:
-    """Evaluate the subproblem objective at a candidate spectrum d."""
-    d = _as_vector(d, "d")
-    sigma = _as_vector(sigma, "sigma")
-    w = _as_vector(w, "weights")
-    if not (d.size == sigma.size == w.size):
-        raise InvalidInputError(
-            f"length mismatch: d={d.size}, sigma={sigma.size}, w={w.size}"
-        )
-    return _objective(d, sigma, w)
-
-
 def _pool_blocks(block_sums, block_counts) -> tuple[np.ndarray, np.ndarray]:
     """Stack PAVA over weighted blocks: one left-to-right pass that pools
     the top of the stack into the incoming block while the top's mean is
@@ -108,34 +97,40 @@ def project_monotone_nonneg(t) -> np.ndarray:
     PAVA on blocks held as (sum, count), starting from one block per
     target, then a clamp at zero. Two stages:
 
-    1. Vectorized passes. Each pass compares adjacent block means and
-       merges every maximal run of violators (a mean below its successor's)
-       with one ``np.add.reduceat`` on the sums and one on the counts. A
+    1. Vectorized passes. Each pass compares adjacent block means: a block
+       whose mean is above its predecessor's joins the predecessor's run. A
+       cumulative sum of the run heads numbers the runs, and one
+       ``np.bincount`` on the sums and one on the counts merge every run. A
        pass that finds no violator ends the projection.
-    2. Once a pass removes fewer than a fifth of the blocks, the surviving
-       blocks go to the stack loop (``_pool_blocks``), which finishes them.
+    2. Once the passes have visited more than 4n blocks in total, the
+       surviving blocks go to the stack loop (``_pool_blocks``), which
+       finishes them. Spectra converge within the budget, so the loop is a
+       backstop for inputs that merge few blocks per pass, such as a long
+       decreasing run followed by one huge value.
 
     Both stages only pool adjacent violators. Blocks that violate are equal
     at the optimum, so pooling them in any order reaches the same unique
-    projection (Best & Chakravarti 1990). Each pass that continues shrinks
-    the blocks by a fifth, so all passes together touch at most 5n blocks
-    and the loop at most n: the worst case stays O(n). Means are compared
-    by the same division that produces the output, so the emitted chain
-    holds exactly in floating point.
+    projection (Best & Chakravarti 1990). A pass visits at most n blocks and
+    starts only while the budget holds, so the passes visit at most 5n
+    blocks and the loop at most n: the worst case stays O(n). Means are
+    compared by the same division that produces the output, so the emitted
+    chain holds exactly in floating point.
     """
     sums = np.asarray(t, dtype=float)
     # Float counts: exact up to 2**53 and divided into the sums without a cast.
     counts = np.ones(sums.size)
+    budget = 4 * sums.size
     while True:
         means = sums / counts
         head = np.ones(means.size, dtype=bool)
         np.greater_equal(means[:-1], means[1:], out=head[1:])
-        starts = np.flatnonzero(head)
-        if starts.size == means.size:
+        if head.all():
             break
-        sums = np.add.reduceat(sums, starts)
-        counts = np.add.reduceat(counts, starts)
-        if 5 * starts.size > 4 * means.size:
+        budget -= means.size
+        ids = np.cumsum(head) - 1
+        sums = np.bincount(ids, weights=sums)
+        counts = np.bincount(ids, weights=counts)
+        if budget < 0:
             sums, counts = _pool_blocks(sums, counts)
             means = sums / counts
             break

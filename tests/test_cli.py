@@ -212,6 +212,7 @@ class TestSelftest:
         code, stdout, _ = run(capsys, "selftest")
         assert code == 0
         assert stdout.count("PASS") == 5
+        assert "kkt-certificate: PASS (worst violation/bound " in stdout
 
     def test_injected_bug_fails(self, capsys, monkeypatch):
         real_oracle = wnnm.diag.brute_force_oracle

@@ -308,6 +308,17 @@ class TestDenoise:
         sizes = np.concatenate([np.count_nonzero(m >= 0, axis=1) for m in members])
         assert stats.ranks == np.minimum(49, sizes).tolist()
 
+    def test_rounding_level_values_are_not_rank(self):
+        # Every group of alternating columns repeats one patch, so its rank
+        # is 1; at a noise level far below rounding, the second singular
+        # value LAPACK returns at rounding level survives shrinkage.
+        img = np.tile(np.where(np.arange(20) % 2, 200.0, 50.0), (20, 1))
+        c = cfg(noise_sigma=1e-20, patch_size=3, group_size=8, search_window=3, stride=1)
+        stats = DenoiseStats()
+        denoise(img, c, stats=stats)
+        assert stats.groups == 324
+        assert stats.ranks == [1] * 324
+
     def test_peak_memory_holds_one_patch_table(self):
         # The patch table is the one whole-image per-patch array; a second
         # one (per-patch sums, say) would double the peak.

@@ -10,10 +10,10 @@ from wnnm import (
     SolverPath,
     brute_force_oracle,
     closed_form,
-    objective_diag,
     pava_solve,
     projgrad_reference,
 )
+from wnnm import diag
 from wnnm.diag import project_monotone_nonneg
 from wnnm.selftest import kkt_violation
 
@@ -27,19 +27,6 @@ def random_instance(rng, n_max=10):
 
 def feasible(d):
     return np.all(np.diff(d) <= 0.0) and np.all(d >= 0.0)
-
-
-class TestObjective:
-    def test_exact_fit_zero_weights(self):
-        assert objective_diag([3, 1], [3, 1], [0, 0]) == 0.0
-
-    def test_hand_values(self):
-        assert objective_diag([0, 0], [3, 1], [1, 1]) == pytest.approx(10.0)
-        assert objective_diag([2.5], [3], [1]) == pytest.approx(2.75)
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            objective_diag([1, 2], [1], [1])
 
 
 class TestClosedForm:
@@ -93,7 +80,7 @@ class TestPava:
         for _ in range(100):
             sigma, w = random_instance(rng)
             sol = pava_solve(sigma, w)
-            assert abs(sol.objective - objective_diag(sol.d, sigma, w)) <= 1e-12
+            assert abs(sol.objective - np.sum((sol.d - sigma) ** 2 + w * sol.d)) <= 1e-12
 
     def test_agrees_with_closed_form_when_applicable(self):
         rng = np.random.default_rng(4)
@@ -234,7 +221,7 @@ def family_targets(family, n, rng, scale):
         return np.sort(rng.uniform(-scale, scale, n))[::-1].copy()
     if family == "increasing":  # strictly: the whole vector pools into one block
         return np.cumsum(rng.uniform(0.01, 1.0, n)) * scale
-    if family == "cascade":  # [n-1, ..., 1, huge]: one merge, then the stack loop
+    if family == "cascade":  # [n-1, ..., 1, huge]: one merge per pass, so the budget hands off
         return np.append(np.arange(n - 1, 0, -1.0), 1e9)[:n] * scale
     if family == "sawtooth":
         period = int(rng.integers(2, 50))
@@ -269,3 +256,41 @@ def test_projection_matches_naive_pava_tiny(values):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_projection_matches_naive_pava_at_20k(family):
     assert_matches_naive(family_targets(family, 20000, np.random.default_rng(11), 1.0))
+
+
+class CountingNumpy:
+    """numpy as ``diag`` sees it, counting the blocks each merge pass compares."""
+
+    def __init__(self):
+        self.visited = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def greater_equal(self, a, b, out):
+        self.visited += a.size + 1
+        return np.greater_equal(a, b, out=out)
+
+
+@pytest.mark.parametrize("family, scale, loops", [
+    ("spectrum", 0.08, False), ("spectrum", 1.0, False), ("spectrum", 40.0, False),
+    ("cascade", 1.0, True),
+])
+def test_passes_hand_off_to_the_loop_only_past_the_budget(monkeypatch, family, scale, loops):
+    """Spectra converge in a few passes and never reach the stack loop; the
+    cascade merges one block per pass and reaches it. Either way the passes
+    visit at most 5n blocks, so the projection stays O(n)."""
+    n = 20000
+    loop_calls = []
+    pool_blocks = diag._pool_blocks
+
+    def spy(sums, counts):
+        loop_calls.append(sums.size)
+        return pool_blocks(sums, counts)
+
+    counting = CountingNumpy()
+    monkeypatch.setattr(diag, "_pool_blocks", spy)
+    monkeypatch.setattr(diag, "np", counting)
+    assert_matches_naive(family_targets(family, n, np.random.default_rng(11), scale))
+    assert bool(loop_calls) == loops
+    assert counting.visited <= 5 * n
