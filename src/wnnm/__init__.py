@@ -17,7 +17,7 @@ from .exceptions import (
     PreconditionError,
     WnnmError,
 )
-from .linalg import SvdFactors, gram_defect, reconstruct, svd
+from .linalg import SvdFactors, reconstruct, svd
 from .pgm import read_pgm, write_pgm
 from .solver import WnnmResult, nnm_solve, objective_full, trace_identity_check, wnnm_solve
 
@@ -37,7 +37,6 @@ __all__ = [
     "closed_form",
     "denoise",
     "extract_group",
-    "gram_defect",
     "group_weights",
     "nnm_solve",
     "objective_full",

@@ -18,7 +18,6 @@ from .selftest import run_selftest
 from .solver import wnnm_solve
 
 EXIT_OK = 0
-EXIT_SELFTEST_FAIL = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
@@ -69,22 +68,15 @@ def _format_vector(v) -> str:
 
 
 def cmd_solve(args) -> int:
-    try:
-        y = read_matrix_csv(args.matrix)
-        if args.weights is not None:
-            w = read_matrix_csv(args.weights).ravel()
-        else:
-            w = np.full(min(y.shape), args.lam)
-        result = wnnm_solve(y, w, force_path=args.force_path)
-        if not (np.isfinite(result.objective) and np.all(np.isfinite(result.x_star))):
-            raise NumericalFailureError(f"non-finite result (objective {result.objective!r})")
-        write_matrix_csv(args.out, result.x_star)
-    except (InvalidInputError, PreconditionError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except WnnmError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    y = read_matrix_csv(args.matrix)
+    if args.weights is not None:
+        w = read_matrix_csv(args.weights).ravel()
+    else:
+        w = np.full(min(y.shape), args.lam)
+    result = wnnm_solve(y, w)
+    if not (np.isfinite(result.objective) and np.all(np.isfinite(result.x_star))):
+        raise NumericalFailureError(f"non-finite result (objective {result.objective!r})")
+    write_matrix_csv(args.out, result.x_star)
     print(f"objective: {result.objective!r}")
     print(f"path: {result.path.value}")
     print(f"d: {_format_vector(result.d.d)}")
@@ -92,37 +84,22 @@ def cmd_solve(args) -> int:
 
 
 def cmd_denoise(args) -> int:
-    try:
-        noisy = read_pgm(args.input)
-        cfg = DenoiseConfig(
-            noise_sigma=args.sigma,
-            patch_size=args.patch,
-            group_size=args.group,
-            search_window=args.window,
-            stride=args.stride,
-            weight_constant=args.c,
-        )
-    except (InvalidInputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        stats = DenoiseStats()
-        out = denoise(noisy, cfg, stats=stats)
-        write_pgm(args.output, out)
-    except (InvalidInputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except WnnmError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    noisy = read_pgm(args.input)
+    cfg = DenoiseConfig(
+        noise_sigma=args.sigma,
+        patch_size=args.patch,
+        group_size=args.group,
+        search_window=args.window,
+        stride=args.stride,
+        weight_constant=args.c,
+    )
+    stats = DenoiseStats()
+    out = denoise(noisy, cfg, stats=stats)
+    write_pgm(args.output, out)
     print(f"groups processed: {stats.groups}")
     print(f"mean group rank after shrinkage: {stats.mean_rank:.3f}")
     print(f"psnr output vs input (change, not quality): {psnr(noisy, out):.3f} dB")
     return EXIT_OK
-
-
-def cmd_selftest(args) -> int:
-    return run_selftest(seed=args.seed, scale=args.scale)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--weights", help="one-line CSV of per-singular-value weights")
     grp.add_argument("--lambda", dest="lam", type=float, help="uniform weight")
     p.add_argument("--out", required=True, help="output CSV for the solution matrix")
-    p.add_argument("--force-path", choices=["closed", "pava"], default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("denoise", help="denoise a binary PGM image")
@@ -154,13 +130,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the seeded verification suites")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--scale", choices=["small", "full"], default="small")
-    p.set_defaults(func=cmd_selftest)
+    p.set_defaults(func=lambda args: run_selftest(args.seed, args.scale))
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command. The one map from errors to exit codes: bad input,
+    unreadable input and unwritable output exit 2 with an ``error:`` line,
+    any other package error exits 3 with a ``numerical error:`` line."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (InvalidInputError, PreconditionError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except WnnmError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

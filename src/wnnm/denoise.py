@@ -40,6 +40,10 @@ from .exceptions import InvalidInputError
 from .linalg import reconstruct, svd
 from .pgm import check_image
 
+# Added to each estimated clean singular value so that a zero estimate
+# gives a huge but finite weight.
+EPSILON = 1e-16
+
 
 @dataclass
 class DenoiseConfig:
@@ -48,7 +52,6 @@ class DenoiseConfig:
     group_size: int = 16
     search_window: int = 20
     weight_constant: float = 2.0 * math.sqrt(2.0)
-    epsilon: float = 1e-16
     stride: int = 3
 
     def __post_init__(self):
@@ -60,8 +63,8 @@ class DenoiseConfig:
         for name in ("group_size", "search_window", "stride"):
             if getattr(self, name) < 1:
                 raise InvalidInputError(f"{name} must be a positive integer")
-        if not (0.0 < self.weight_constant < math.inf and 0.0 < self.epsilon < math.inf):
-            raise InvalidInputError("weight_constant and epsilon must be positive and finite")
+        if not 0.0 < self.weight_constant < math.inf:
+            raise InvalidInputError("weight_constant must be positive and finite")
 
 
 @dataclass
@@ -163,7 +166,7 @@ def group_weights(sigma, k, cfg: DenoiseConfig) -> np.ndarray:
     # A float product overflows to inf where ``**`` would raise.
     var = cfg.noise_sigma * cfg.noise_sigma
     s_clean = np.sqrt(np.maximum(sigma**2 - k * var, 0.0))
-    return cfg.weight_constant * np.sqrt(k) * var / (s_clean + cfg.epsilon)
+    return cfg.weight_constant * np.sqrt(k) * var / (s_clean + EPSILON)
 
 
 def _anchor_grid(extent: int, stride: int) -> list[int]:

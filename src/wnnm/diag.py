@@ -49,8 +49,10 @@ def _as_vector(x, name: str) -> np.ndarray:
     return x
 
 
-def weights_non_descending(w: np.ndarray, tol: float = WEIGHT_ORDER_TOL) -> bool:
-    return w.size == 0 or bool(np.all(np.diff(w) >= -tol))
+def weights_non_descending(w: np.ndarray) -> bool:
+    # Compares rather than subtracts two weights, so unvalidated infinite
+    # weights raise no warning before validation rejects them.
+    return bool(np.all(w[1:] >= w[:-1] - WEIGHT_ORDER_TOL))
 
 
 def _check_instance(sigma, w) -> tuple[np.ndarray, np.ndarray]:

@@ -91,9 +91,3 @@ def reconstruct(f: SvdFactors, d) -> np.ndarray:
         )
     return (f.u * d[..., None, :]) @ _mT(f.v)
 
-
-def gram_defect(m) -> float:
-    """Frobenius norm of ``m.T @ m - I``; 0 for orthonormal columns."""
-    m = np.asarray(m, dtype=float)
-    g = m.T @ m
-    return float(np.linalg.norm(g - np.eye(g.shape[0])))

@@ -5,8 +5,9 @@ PAVA vs grid oracle, PAVA vs projected gradient, nnm_solve vs direct
 soft-thresholding of numpy's SVD, the spectral trace identity, and the KKT
 certificate of the spectrum QP at sizes up to n = 20000.
 Each suite returns whether it passed and a detail: the counterexample of a
-failure, or how close a passing suite came to its bound, where it has one.
-Output is deterministic for a fixed seed.
+failure, or the worst ratio of a passing suite's gap to its bound (a
+negative oracle gap means PAVA beat the grid). Output is deterministic for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import diag, solver
+from .exceptions import InvalidInputError
 
 SCALE_COUNTS = {
     "small": {"oracle": 25, "cross": 25, "trace": 10, "nnm": 20, "trace_trials": 100, "kkt": 10},
@@ -35,8 +37,13 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _margin(worst) -> str:
+    return f"worst gap/bound {worst:.3g}"
+
+
 def suite_oracle(rng, count):
     """PAVA objective never exceeds the grid oracle's (n <= 3)."""
+    worst = -np.inf
     for i in range(count):
         n = int(rng.integers(1, 4))
         sigma = random_sigma(rng, n)
@@ -48,11 +55,13 @@ def suite_oracle(rng, count):
                 f"instance {i}: sigma={sigma.tolist()} w={w.tolist()} "
                 f"pava={_fmt(got)} oracle={_fmt(ref)}"
             )
-    return True, ""
+        worst = max(worst, (got - ref) / 1e-4)
+    return True, _margin(worst)
 
 
 def suite_cross_solver(rng, count):
     """PAVA agrees with the projected-gradient reference (n <= 10)."""
+    worst = 0.0
     for i in range(count):
         n = int(rng.integers(1, 11))
         sigma = random_sigma(rng, n)
@@ -64,35 +73,41 @@ def suite_cross_solver(rng, count):
                 f"instance {i}: sigma={sigma.tolist()} w={w.tolist()} "
                 f"pava={_fmt(a)} projgrad={_fmt(b)}"
             )
-    return True, ""
+        worst = max(worst, abs(a - b) / 1e-6)
+    return True, _margin(worst)
 
 
 def suite_trace_identity(rng, count, trials):
     """Trace form peaks at the SVD factors with value sum(sigma_i * w_i)."""
+    worst = -np.inf
     for i in range(count):
         a = random_matrix(rng)
         k = min(a.shape)
         w = np.sort(rng.uniform(0.0, 3.0, size=k))[::-1].copy()
         rep = solver.trace_identity_check(a, w, trials=trials, rng=rng)
-        if abs(rep.lhs - rep.rhs_at_svd) > 1e-8 or rep.max_random_rhs > rep.lhs + 1e-8:
+        gap = max(abs(rep.lhs - rep.rhs_at_svd), rep.max_random_rhs - rep.lhs)
+        if not gap <= 1e-8:
             return False, (
                 f"instance {i}: lhs={_fmt(rep.lhs)} at_svd={_fmt(rep.rhs_at_svd)} "
                 f"max_random={_fmt(rep.max_random_rhs)}"
             )
-    return True, ""
+        worst = max(worst, gap / 1e-8)
+    return True, _margin(worst)
 
 
 def suite_nnm_equivalence(rng, count):
     """nnm_solve matches soft-thresholding of numpy's own SVD at lam/2."""
+    worst = 0.0
     for i in range(count):
         y = random_matrix(rng)
         lam = float(rng.uniform(0.0, 2.0 * np.linalg.norm(y, 2)))
         u, s, vt = np.linalg.svd(y, full_matrices=False)
         ref = (u * np.maximum(s - lam / 2.0, 0.0)) @ vt
         err = float(np.max(np.abs(solver.nnm_solve(y, lam).x_star - ref)))
-        if err > 1e-10:
+        if not err <= 1e-10:
             return False, f"instance {i}: lam={_fmt(lam)} entrywise gap={_fmt(err)}"
-    return True, ""
+        worst = max(worst, err / 1e-10)
+    return True, _margin(worst)
 
 
 def kkt_violation(sigma, w, d) -> tuple[float, float]:
@@ -129,11 +144,10 @@ def suite_kkt_certificate(rng, count):
     return True, f"worst violation/bound {worst:.3g}"
 
 
-def run_selftest(seed: int, scale: str, out=None) -> int:
+def run_selftest(seed: int, scale: str) -> int:
     """Run all suites; print one pass/fail line each. Returns 0 iff all pass."""
-    import sys
-
-    out = out or sys.stdout
+    if seed < 0:
+        raise InvalidInputError(f"seed must be a nonnegative integer, got {seed}")
     counts = SCALE_COUNTS[scale]
     rng = np.random.default_rng(seed)
     suites = [
@@ -148,6 +162,6 @@ def run_selftest(seed: int, scale: str, out=None) -> int:
         passed, detail = fn()
         failures += not passed
         status = "PASS" if passed else "FAIL"
-        print(f"{name}: {status}" + (f" ({detail})" if detail else ""), file=out)
-    print(f"{len(suites) - failures}/{len(suites)} suites passed", file=out)
+        print(f"{name}: {status}" + (f" ({detail})" if detail else ""))
+    print(f"{len(suites) - failures}/{len(suites)} suites passed")
     return 0 if failures == 0 else 1

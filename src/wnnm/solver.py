@@ -36,34 +36,30 @@ def objective_full(y, x, w) -> float:
     return float(np.sum((y - x) ** 2) + np.sum(w * sigma_x))
 
 
-def shrink(factors: SvdFactors, w, force_path: str | None = None) -> WnnmResult:
+def shrink(factors: SvdFactors, w) -> WnnmResult:
     """Apply the WNNM operator to the matrix whose thin SVD is ``factors``.
 
-    The objective is the spectrum objective of ``d``. It equals the full
-    objective at ``x_star`` because ``x_star`` shares the singular vectors
-    of the input; ``objective_full`` is the independent check.
+    The weights choose the path: the closed form when they are
+    non-descending, PAVA otherwise. The objective is the spectrum objective
+    of ``d``. It equals the full objective at ``x_star`` because ``x_star``
+    shares the singular vectors of the input; ``objective_full`` is the
+    independent check.
     """
     w = np.asarray(w, dtype=float)
     if w.shape != factors.sigma.shape:
         raise InvalidInputError(
             f"weight vector has shape {w.shape}, expected {factors.sigma.shape}"
         )
-    use_closed = diag.weights_non_descending(w) if force_path is None else force_path == "closed"
-    sol = diag.closed_form(factors.sigma, w) if use_closed else diag.pava_solve(factors.sigma, w)
+    solve = diag.closed_form if diag.weights_non_descending(w) else diag.pava_solve
+    sol = solve(factors.sigma, w)
     x_star = reconstruct(factors, sol.d)
     return WnnmResult(x_star=x_star, factors=factors, d=sol, objective=sol.objective, path=sol.path)
 
 
-def wnnm_solve(y, w, force_path: str | None = None) -> WnnmResult:
-    """Globally optimal WNNM solution for one weight per singular value.
-
-    The closed-form path runs automatically when the weights are
-    non-descending; otherwise the PAVA path solves the general subproblem.
-    ``force_path`` ("closed" or "pava") overrides the automatic choice.
-    """
-    if force_path not in (None, "closed", "pava"):
-        raise InvalidInputError(f"unknown force_path {force_path!r}")
-    return shrink(svd(y), w, force_path)
+def wnnm_solve(y, w) -> WnnmResult:
+    """Globally optimal WNNM solution for one weight per singular value:
+    the closed form for non-descending weights, PAVA for any other order."""
+    return shrink(svd(y), w)
 
 
 def nnm_solve(y, lam: float) -> WnnmResult:

@@ -17,7 +17,6 @@ from wnnm import (
     brute_force_oracle,
     closed_form,
     denoise,
-    gram_defect,
     nnm_solve,
     objective_full,
     pava_solve,
@@ -136,7 +135,9 @@ def test_criterion_7_svd_contract():
         f = svd(y)
         scale = max(np.linalg.norm(y), 1e-30)
         ok &= np.linalg.norm(reconstruct(f, f.sigma) - y) / scale <= 1e-8
-        ok &= gram_defect(f.u) <= 1e-10 and gram_defect(f.v) <= 1e-10
+        eye = np.eye(f.sigma.size)
+        ok &= np.linalg.norm(f.u.T @ f.u - eye) <= 1e-10
+        ok &= np.linalg.norm(f.v.T @ f.v - eye) <= 1e-10
         ok &= bool(np.all(np.diff(f.sigma) <= 0.0) and np.all(f.sigma >= 0.0))
     report("SVD contract: reconstruction, orthonormality, sorted spectrum", ok)
 

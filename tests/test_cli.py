@@ -115,16 +115,25 @@ class TestSolve:
         assert code == 3 and "numerical error" in err
         assert "objective" not in stdout and not out.exists()
 
-    def test_force_path_pava(self, tmp_path, capsys):
+    def test_descending_weights_take_pava(self, tmp_path, capsys):
         m = write_csv(tmp_path / "m.csv", "3,0\n0,2\n")
         w = write_csv(tmp_path / "w.csv", "4,0\n")
         out = tmp_path / "x.csv"
-        code, stdout, _ = run(
-            capsys, "solve", "--matrix", m, "--weights", w, "--out", str(out),
-            "--force-path", "pava",
-        )
+        code, stdout, _ = run(capsys, "solve", "--matrix", m, "--weights", w, "--out", str(out))
         assert code == 0 and "path: pava" in stdout
         np.testing.assert_allclose(read_matrix_csv(out), np.diag([1.5, 1.5]), atol=1e-12)
+
+    @pytest.mark.parametrize("weights", [["--lambda", "1e400"], ["--weights", "inf,inf"]])
+    def test_infinite_weights_exit_2(self, tmp_path, capsys, weights):
+        # Under the suite's filterwarnings = error, a warning from the path
+        # choice would escape here instead of the validation error.
+        m = write_csv(tmp_path / "m.csv", "1,2\n3,4\n")
+        if weights[0] == "--weights":
+            weights = ["--weights", write_csv(tmp_path / "w.csv", weights[1] + "\n")]
+        out = tmp_path / "x.csv"
+        code, _, err = run(capsys, "solve", "--matrix", m, *weights, "--out", str(out))
+        assert code == 2 and err == "error: weights contains NaN or Inf\n"
+        assert not out.exists()
 
 
 class TestDenoise:
@@ -212,7 +221,14 @@ class TestSelftest:
         code, stdout, _ = run(capsys, "selftest")
         assert code == 0
         assert stdout.count("PASS") == 5
+        for suite in ("oracle-dominance", "cross-solver", "trace-identity", "nnm-equivalence"):
+            assert f"{suite}: PASS (worst gap/bound " in stdout
         assert "kkt-certificate: PASS (worst violation/bound " in stdout
+
+    def test_negative_seed_exit_2(self, capsys):
+        code, stdout, err = run(capsys, "selftest", "--seed", "-1")
+        assert code == 2 and stdout == ""
+        assert err == "error: seed must be a nonnegative integer, got -1\n"
 
     def test_injected_bug_fails(self, capsys, monkeypatch):
         real_oracle = wnnm.diag.brute_force_oracle

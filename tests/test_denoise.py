@@ -14,6 +14,7 @@ from wnnm import (
     psnr,
     svd,
 )
+from wnnm.denoise import EPSILON
 
 
 def cfg(**kw):
@@ -130,11 +131,11 @@ class TestGroupWeights:
     def test_zero_matrix_uniform_huge(self):
         c = cfg()
         w = group_weights(np.zeros(4), 4, c)  # spectrum of a 9x4 zero group
-        expected = c.weight_constant * 2.0 * c.noise_sigma**2 / c.epsilon
+        expected = c.weight_constant * 2.0 * c.noise_sigma**2 / EPSILON
         np.testing.assert_allclose(w, expected)
 
     def test_hand_evaluated_formula(self):
-        c = DenoiseConfig(noise_sigma=1.0, weight_constant=1.0, epsilon=1e-16)
+        c = DenoiseConfig(noise_sigma=1.0, weight_constant=1.0)
         w = group_weights(np.array([10.0, 0.0]), 4, c)  # sigma = [10, 0], k = 4
         assert w[0] == pytest.approx(2.0 / np.sqrt(96.0), rel=1e-12)
         assert w[1] == pytest.approx(2.0 / 1e-16)
@@ -189,7 +190,7 @@ def reference_denoise(img, c):
             u, s, vt = np.linalg.svd(y, full_matrices=False)
             k = len(members)
             s_clean = np.sqrt(np.maximum(s**2 - k * c.noise_sigma**2, 0.0))
-            wts = c.weight_constant * np.sqrt(k) * c.noise_sigma**2 / (s_clean + c.epsilon)
+            wts = c.weight_constant * np.sqrt(k) * c.noise_sigma**2 / (s_clean + EPSILON)
             x = (u * np.maximum(s - wts / 2.0, 0.0)) @ vt
             for col, (i, j) in enumerate(members):
                 acc[i : i + p, j : j + p] += x[:, col].reshape(p, p)

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wnnm import InvalidInputError, gram_defect, reconstruct, svd
+from wnnm import InvalidInputError, reconstruct, svd
+
+
+def gram_defect(m) -> float:
+    """Frobenius norm of ``m.T @ m - I``; 0 for orthonormal columns."""
+    m = np.asarray(m, dtype=float)
+    g = m.T @ m
+    return float(np.linalg.norm(g - np.eye(g.shape[0])))
 
 
 def random_orthogonal(rng, n):

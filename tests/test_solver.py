@@ -51,18 +51,11 @@ class TestWnnmSolve:
         np.testing.assert_allclose(r.x_star, np.diag([1.5, 1.5]), atol=1e-12)
         assert r.path is SolverPath.PAVA
 
-    def test_force_path_agreement(self):
-        rng = np.random.default_rng(10)
-        for _ in range(50):
-            y = rng.uniform(-1, 1, size=(5, 4))
-            w = np.sort(rng.uniform(0, 2, size=4))
-            a = wnnm_solve(y, w, force_path="closed")
-            b = wnnm_solve(y, w, force_path="pava")
-            np.testing.assert_allclose(a.x_star, b.x_star, atol=1e-10)
-
-    def test_force_closed_on_descending_weights_raises(self):
-        with pytest.raises(PreconditionError):
-            wnnm_solve(np.diag([3.0, 2.0]), [4, 0], force_path="closed")
+    def test_infinite_weights_rejected_without_warning(self):
+        # Under the suite's filterwarnings = error, a warning from the
+        # path choice would escape here instead of the validation error.
+        with pytest.raises(InvalidInputError):
+            wnnm_solve(np.eye(2), [np.inf, np.inf])
 
     def test_zero_weights_identity(self):
         rng = np.random.default_rng(11)
@@ -123,8 +116,10 @@ class TestWnnmSolve:
                 y = rng.standard_normal((shape[0], 1)) @ rng.standard_normal((1, shape[1]))
             w_sorted = np.sort(rng.uniform(0.5, 2, size=k))
             w_any = rng.uniform(0.5, 2, size=k)
-            for w, path in [(w_sorted, "closed"), (w_sorted, "pava"), (w_any, "pava")]:
-                r = wnnm_solve(y, w, force_path=path)
+            for w in (w_sorted, w_any):
+                r = wnnm_solve(y, w)
+                descends = np.any(np.diff(w) < 0)
+                assert r.path is (SolverPath.PAVA if descends else SolverPath.CLOSED_FORM)
                 full = objective_full(y, r.x_star, w)
                 assert abs(r.objective - full) <= 1e-12 * abs(full)
 
