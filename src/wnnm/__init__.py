@@ -1,6 +1,6 @@
 """Weighted nuclear norm minimization: exact solvers and a denoising demo."""
 
-from .denoise import DenoiseConfig, DenoiseStats, denoise, extract_group, group_weights, patch_table, psnr
+from .denoise import DenoiseConfig, DenoiseStats, denoise, psnr
 from .diag import (
     DiagSolution,
     SolverPath,
@@ -36,11 +36,8 @@ __all__ = [
     "brute_force_oracle",
     "closed_form",
     "denoise",
-    "extract_group",
-    "group_weights",
     "nnm_solve",
     "objective_full",
-    "patch_table",
     "pava_solve",
     "project_monotone_nonneg",
     "projgrad_reference",

@@ -63,10 +63,6 @@ def write_matrix_csv(path, m: np.ndarray) -> None:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-def _format_vector(v) -> str:
-    return "[" + ", ".join(repr(float(x)) for x in v) + "]"
-
-
 def cmd_solve(args) -> int:
     y = read_matrix_csv(args.matrix)
     if args.weights is not None:
@@ -79,7 +75,7 @@ def cmd_solve(args) -> int:
     write_matrix_csv(args.out, result.x_star)
     print(f"objective: {result.objective!r}")
     print(f"path: {result.path.value}")
-    print(f"d: {_format_vector(result.d.d)}")
+    print(f"d: {result.d.d.tolist()}")
     return EXIT_OK
 
 

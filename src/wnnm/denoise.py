@@ -77,19 +77,6 @@ class DenoiseStats:
         return float(np.mean(self.ranks)) if self.ranks else 0.0
 
 
-def patch_table(img, p: int) -> np.ndarray:
-    """Every p x p patch of ``img`` as a (H-p+1, W-p+1, p*p) array.
-
-    Entry ``[i, j]`` is the flattened patch whose top-left corner is
-    ``(i, j)``.
-    """
-    img = check_image(img)
-    h, w = img.shape
-    if p > min(h, w):
-        raise InvalidInputError(f"patch_size {p} exceeds image extent {h}x{w}")
-    return sliding_window_view(img, (p, p)).reshape(h - p + 1, w - p + 1, p * p)
-
-
 def extract_group(
     table: np.ndarray, sq_norms: np.ndarray, row: int, cols, cfg: DenoiseConfig
 ) -> np.ndarray:
@@ -100,16 +87,11 @@ def extract_group(
     closest to the anchor patch (squared Euclidean distance, ties broken by
     scan order), the anchor first. Near the border a window may hold fewer
     patches; that group takes all of them and its row is padded with -1.
-    ``sq_norms`` holds the squared norm of every patch in ``table``.
+    ``sq_norms`` holds the squared norm of every patch in ``table``. The
+    anchors must lie in the patch grid, as ``denoise``'s anchor grid does.
     """
     rows, n_cols, npix = table.shape
     cols = np.asarray(cols)
-    if not (cols.ndim == 1 and cols.size and 0 <= row < rows
-            and 0 <= cols.min() <= cols.max() < n_cols):
-        raise InvalidInputError(
-            f"anchors ({row}, {cols}) are not in the {rows}x{n_cols} patch grid"
-        )
-
     sw = cfg.search_window
     r0, r1 = max(0, row - sw), min(rows - 1, row + sw)
     # Candidates: every patch in the window rows, in scan order.
@@ -186,9 +168,12 @@ def denoise(img, cfg: DenoiseConfig, stats: DenoiseStats | None = None) -> np.nd
     """
     p = cfg.patch_size
     img = check_image(img)
-    table = patch_table(img, p)
     h, w = img.shape
-    rows, cols = table.shape[:2]
+    if p > min(h, w):
+        raise InvalidInputError(f"patch_size {p} exceeds image extent {h}x{w}")
+    rows, cols = h - p + 1, w - p + 1
+    # Every p x p patch, flattened: entry [i, j] has its top-left corner at (i, j).
+    table = sliding_window_view(img, (p, p)).reshape(rows, cols, p * p)
     flat = table.reshape(rows * cols, p * p)
     sq_norms = np.einsum("ijk,ijk->ij", table, table)
     anchor_cols = np.array(_anchor_grid(cols, cfg.stride))

@@ -23,8 +23,6 @@ import numpy as np
 
 from .exceptions import ConvergenceError, InvalidInputError, PreconditionError
 
-WEIGHT_ORDER_TOL = 1e-12
-
 
 class SolverPath(enum.Enum):
     CLOSED_FORM = "closed_form"
@@ -50,9 +48,10 @@ def _as_vector(x, name: str) -> np.ndarray:
 
 
 def weights_non_descending(w: np.ndarray) -> bool:
-    # Compares rather than subtracts two weights, so unvalidated infinite
-    # weights raise no warning before validation rejects them.
-    return bool(np.all(w[1:] >= w[:-1] - WEIGHT_ORDER_TOL))
+    # Exact: weights out of order by any amount can make the closed form
+    # infeasible. A comparison, unlike a difference, raises no warning on
+    # infinite weights that validation has not yet rejected.
+    return bool(np.all(w[1:] >= w[:-1]))
 
 
 def _check_instance(sigma, w) -> tuple[np.ndarray, np.ndarray]:
@@ -67,13 +66,15 @@ def _check_instance(sigma, w) -> tuple[np.ndarray, np.ndarray]:
             raise InvalidInputError(f"weights must be nonnegative, got min {w.min()}")
         if sigma.min() < 0.0:
             raise InvalidInputError(f"singular values must be nonnegative, got min {sigma.min()}")
-        if np.any(np.diff(sigma) > WEIGHT_ORDER_TOL):
+        if np.any(sigma[1:] > sigma[:-1]):
             raise InvalidInputError("singular values must be sorted non-increasing")
     return sigma, w
 
 
 def _objective(d, sigma, w) -> float:
-    return float(np.sum((d - sigma) ** 2 + w * d))
+    # An overflow gives inf, which callers report; numpy need not warn too.
+    with np.errstate(over="ignore"):
+        return float(np.sum((d - sigma) ** 2 + w * d))
 
 
 def _pool_blocks(block_sums, block_counts) -> tuple[np.ndarray, np.ndarray]:

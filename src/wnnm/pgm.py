@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .exceptions import InvalidInputError
@@ -17,51 +19,29 @@ def check_image(img) -> np.ndarray:
     return img
 
 
-def _header_tokens(data: bytes):
-    """Yield (token, end_offset) for whitespace-separated header tokens,
-    skipping '#' comments."""
-    i = 0
-    while i < len(data):
-        c = data[i : i + 1]
-        if c.isspace():
-            i += 1
-        elif c == b"#":
-            nl = data.find(b"\n", i)
-            if nl < 0:
-                raise InvalidInputError("unterminated comment in PGM header")
-            i = nl + 1
-        else:
-            j = i
-            while j < len(data) and not data[j : j + 1].isspace():
-                j += 1
-            yield data[i:j], j
-            i = j
+# The header grammar: "P5", width, height and maxval, each followed directly
+# by a whitespace byte. Before the magic and between fields, more whitespace
+# and '#'-to-newline comments may come; the raster starts right after the
+# maxval's whitespace byte. A field is decimal digits, at most 18 of them
+# past any leading zeros: a larger dimension could never fit its raster, and
+# the cap keeps ``int`` below its digit limit.
+_SEP = rb"(?:\s|#[^\n]*\n)*"
+_HEADER = re.compile(_SEP + rb"P5" + (rb"\s" + _SEP + rb"0*(\d{1,18})") * 3 + rb"\s")
 
 
 def read_pgm(path) -> np.ndarray:
     """Read a binary PGM file into a float64 (height, width) array."""
     with open(path, "rb") as fh:
         data = fh.read()
-    tokens = _header_tokens(data)
-    try:
-        magic, _ = next(tokens)
-        if magic != b"P5":
-            raise InvalidInputError(f"not a binary PGM (P5) file: magic {magic!r}")
-        width, _ = next(tokens)
-        height, _ = next(tokens)
-        maxval, end = next(tokens)
-    except StopIteration:
-        raise InvalidInputError("truncated PGM header") from None
-    try:
-        width, height, maxval = int(width), int(height), int(maxval)
-    except ValueError as exc:
-        raise InvalidInputError(f"malformed PGM header: {exc}") from None
+    header = _HEADER.match(data)
+    if header is None:
+        raise InvalidInputError("malformed or truncated binary PGM (P5) header")
+    width, height, maxval = map(int, header.groups())
     if width < 1 or height < 1:
         raise InvalidInputError(f"invalid PGM dimensions {width}x{height}")
     if maxval != 255:
         raise InvalidInputError(f"only maxval 255 supported, got {maxval}")
-    # Exactly one whitespace byte separates the header from raster data.
-    raster = data[end + 1 :]
+    raster = data[header.end() :]
     if len(raster) < width * height:
         raise InvalidInputError(
             f"truncated PGM raster: expected {width * height} bytes, got {len(raster)}"

@@ -20,7 +20,6 @@ from .linalg import SvdFactors, check_matrix, reconstruct, svd
 @dataclass(frozen=True)
 class WnnmResult:
     x_star: np.ndarray
-    factors: SvdFactors
     d: DiagSolution
     objective: float
     path: SolverPath
@@ -53,7 +52,7 @@ def shrink(factors: SvdFactors, w) -> WnnmResult:
     solve = diag.closed_form if diag.weights_non_descending(w) else diag.pava_solve
     sol = solve(factors.sigma, w)
     x_star = reconstruct(factors, sol.d)
-    return WnnmResult(x_star=x_star, factors=factors, d=sol, objective=sol.objective, path=sol.path)
+    return WnnmResult(x_star=x_star, d=sol, objective=sol.objective, path=sol.path)
 
 
 def wnnm_solve(y, w) -> WnnmResult:
@@ -97,7 +96,7 @@ def trace_identity_check(a, w, trials: int, rng=None) -> TraceIdentityReport:
     a = check_matrix(a)
     f = svd(a)
     _, w = diag._check_instance(f.sigma, w)
-    if w.size and np.any(np.diff(w) > diag.WEIGHT_ORDER_TOL):
+    if np.any(w[1:] > w[:-1]):
         raise PreconditionError("trace identity requires non-ascending weights")
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")

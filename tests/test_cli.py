@@ -106,14 +106,18 @@ class TestSolve:
         objective = float(stdout.split("objective: ")[1].split()[0])
         assert np.isfinite(objective) and objective == pytest.approx(5e200)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_objective_exit_3(self, tmp_path, capsys):
+        # The objective overflows in a square (first input) and in the sum
+        # (second); under the suite's filterwarnings = error, a numpy warning
+        # would escape.
         m = write_csv(tmp_path / "m.csv", "3e200,1e200\n1e200,2e200\n")
         w = write_csv(tmp_path / "w.csv", "1e300,1e300\n")
+        m2 = write_csv(tmp_path / "m2.csv", "1e308,1e308\n1e308,-1e308\n")
         out = tmp_path / "x.csv"
-        code, stdout, err = run(capsys, "solve", "--matrix", m, "--weights", w, "--out", str(out))
-        assert code == 3 and "numerical error" in err
-        assert "objective" not in stdout and not out.exists()
+        for inputs in (["--matrix", m, "--weights", w], ["--matrix", m2, "--lambda", "1"]):
+            code, stdout, err = run(capsys, "solve", *inputs, "--out", str(out))
+            assert code == 3 and err == "numerical error: non-finite result (objective inf)\n"
+            assert "objective" not in stdout and not out.exists()
 
     def test_descending_weights_take_pava(self, tmp_path, capsys):
         m = write_csv(tmp_path / "m.csv", "3,0\n0,2\n")

@@ -38,6 +38,9 @@ class TestClosedForm:
     def test_rejects_descending_weights(self):
         with pytest.raises(PreconditionError, match="pava_solve"):
             closed_form([3, 2], [2, 1])
+        # Out of order by far less than 1e-12: max(sigma - w/2, 0) would ascend.
+        with pytest.raises(PreconditionError, match="pava_solve"):
+            closed_form([1, 1], [1, 1 - 1e-13])
 
     def test_path_tag(self):
         assert closed_form([1], [1]).path is SolverPath.CLOSED_FORM

@@ -27,6 +27,19 @@ def test_comments_in_header(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "header",
+    [
+        pytest.param(b"# made by hand\n#\n\nP5\n2 1\n255\n", id="comments-before-magic"),
+        pytest.param(b"P5 # magic\n2\t#width\n\n1 # height\n# more\n255\n", id="comments-between-fields"),
+    ],
+)
+def test_header_comments_accepted(tmp_path, header):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(header + b"\x05\x07")
+    np.testing.assert_array_equal(read_pgm(path), [[5.0, 7.0]])
+
+
+@pytest.mark.parametrize(
     "data",
     [
         b"P2\n2 2\n255\n1 2 3 4",  # ascii variant unsupported
@@ -34,6 +47,13 @@ def test_comments_in_header(tmp_path):
         b"P5\n2",  # truncated header
         b"P5\n2 2\n65535\n" + b"\x00" * 8,  # wrong maxval
         b"P5\nx y\n255\n" + b"\x00" * 4,  # non-numeric dimensions
+        pytest.param(b"P5#c\n2 1\n255\n\x05\x07", id="comment-glued-to-magic"),
+        pytest.param(b"P5\n2 1 # no newline", id="unterminated-comment"),
+        pytest.param(b"P5\n+2 1\n255\n\x05\x07", id="signed-width"),
+        pytest.param(b"P5\n2_0 1\n255\n" + b"\x00" * 20, id="underscore-width"),
+        pytest.param(b"P5\n" + b"1" * 5000 + b" 1\n255\n\x00", id="5000-digit-width"),
+        # int() reads it, but width * height has too many digits to print.
+        pytest.param(b"P5\n" + b"9" * 4300 + b" 2\n255\n\x00", id="4300-digit-width"),
     ],
 )
 def test_malformed_rejected(tmp_path, data):

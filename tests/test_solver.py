@@ -50,6 +50,11 @@ class TestWnnmSolve:
         r = wnnm_solve(np.diag([3.0, 2.0]), [4, 0])
         np.testing.assert_allclose(r.x_star, np.diag([1.5, 1.5]), atol=1e-12)
         assert r.path is SolverPath.PAVA
+        # Descending at the 1e-12 scale: the closed form would give the
+        # infeasible d = [5e-13, 1e-12].
+        r = wnnm_solve(np.diag([1e-12, 1e-12]), [1e-12, 0.0])
+        assert r.path is SolverPath.PAVA
+        np.testing.assert_allclose(r.d.d, [7.5e-13, 7.5e-13], rtol=1e-12)
 
     def test_infinite_weights_rejected_without_warning(self):
         # Under the suite's filterwarnings = error, a warning from the
@@ -172,6 +177,8 @@ class TestTraceIdentity:
     def test_ascending_weights_rejected(self):
         with pytest.raises(PreconditionError):
             trace_identity_check(np.eye(2), [1, 2], trials=1)
+        with pytest.raises(PreconditionError):
+            trace_identity_check(np.eye(2), [1, 1 + 1e-13], trials=1)
 
     def test_trials_must_be_positive(self):
         with pytest.raises(InvalidInputError):
