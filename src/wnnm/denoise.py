@@ -7,12 +7,15 @@ everything is array code:
 
 * Block matching (``extract_group``). One matmul of the row's anchor
   patches against every patch in the rows their search windows cover gives
-  the Gram distances ||a||^2 + ||b||^2 - 2 a.b. They carry rounding, so they
-  only shortlist: each anchor keeps the candidates within twice the
-  expansion's rounding bound of its group's K-th Gram distance. The exact
-  squared distances of the shortlist are recomputed, and one lexsort on
-  (anchor, exact distance, scan index) picks the members.
-* Shrinkage. One ``svd`` call takes all of the row's groups, the border
+  the Gram distances ||a||^2 + ||b||^2 - 2 a.b; as each window spans all of
+  those rows, an (anchors x columns) mask sets the rest to +inf. They carry
+  rounding, so they only shortlist: each anchor keeps the candidates within
+  twice the expansion's rounding bound of its group's K-th Gram distance.
+  The exact squared distances of the shortlist are recomputed, and one
+  lexsort on (anchor, exact distance, scan index) picks the members.
+* Shrinkage. One ``thin_svd`` call (the core of ``svd``, without its input
+  check and sign choice: the image is checked once, and U diag(d) V^T does
+  not depend on the signs) takes all of the row's groups, the border
   groups (fewer than K patches in the window) padded with zero columns.
   That is exact: zero columns leave a group's min(p*p, k) singular values
   unchanged and add only zeros, whose ``d`` is set to 0 (LAPACK can return
@@ -37,7 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import diag
 from .exceptions import InvalidInputError
-from .linalg import reconstruct, svd
+from .linalg import reconstruct, thin_svd
 from .pgm import check_image
 
 # Added to each estimated clean singular value so that a zero estimate
@@ -96,30 +99,31 @@ def extract_group(
     r0, r1 = max(0, row - sw), min(rows - 1, row + sw)
     # Candidates: every patch in the window rows, in scan order.
     cand = table[r0 : r1 + 1].reshape(-1, npix)
-    cand_norms = sq_norms[r0 : r1 + 1].ravel()
+    cand_norms = sq_norms[r0 : r1 + 1]
     anchors, a_norms = table[row, cols], sq_norms[row, cols]
-    in_window = np.abs(np.arange(cand.shape[0]) % n_cols - cols[:, None]) <= sw
+    in_cols = np.abs(np.arange(n_cols) - cols[:, None]) <= sw
     own = (row - r0) * n_cols + cols
     # Python's min first: a group_size beyond the C long range stays out of numpy.
     k_max = min(cfg.group_size, cand.shape[0])
-    sizes = np.minimum(k_max, np.count_nonzero(in_window, axis=1))
+    sizes = np.minimum(k_max, (r1 - r0 + 1) * np.count_nonzero(in_cols, axis=1))
 
     # In place: this (anchors, candidates) array is the row's working set.
-    fast = anchors @ cand.T
-    fast *= -2.0
-    fast += a_norms[:, None]
-    fast += cand_norms
-    fast[~in_window] = np.inf
+    fast = (-2.0 * anchors) @ cand.T
+    fast3 = fast.reshape(cols.size, -1, n_cols)
+    fast3 += np.where(in_cols, a_norms[:, None], np.inf)[:, None, :]
+    fast3 += cand_norms
     fast[np.arange(cols.size), own] = -np.inf
     kth_fast = np.partition(fast, k_max - 1, axis=1)[:, k_max - 1]
-    # The Gram distance and the exact distance computed below both round by
-    # about npix * eps * (|a|^2 + |b|^2); ``bound`` covers their gap with a
-    # margin, so no true member lies beyond K-th Gram distance + 2 * bound.
+    # The Gram distance, (-2 a.b + |a|^2) + |b|^2 in that order, and the exact
+    # distance below both round by about (npix + 2) * eps * (|a|^2 + |b|^2);
+    # ``bound`` covers their gap, so no member lies beyond K-th + 2 * bound.
     bound = 4.0 * (npix + 2) * np.finfo(float).eps * (a_norms + cand_norms.max())
-    # "not >" also keeps NaN: an overflowed expansion shortlists the window.
-    keep = in_window & ~(fast > (kth_fast + 2.0 * bound)[:, None])
+    # "not >" also keeps NaN (an overflowed expansion) and, when the window
+    # holds fewer than K patches, +inf; the column mask trims both to the window.
+    keep = ~(fast3 > (kth_fast + 2.0 * bound)[:, None, None])
+    keep &= in_cols[:, None, :]
 
-    a_idx, c_idx = np.nonzero(keep)
+    a_idx, c_idx = np.divmod(np.flatnonzero(keep), cand.shape[0])
     diff = cand[c_idx] - anchors[a_idx]
     dist = np.einsum("ij,ij->i", diff, diff)
     dist[c_idx == own[a_idx]] = -1.0  # the anchor first
@@ -183,27 +187,30 @@ def denoise(img, cfg: DenoiseConfig, stats: DenoiseStats | None = None) -> np.nd
     # Sum of every estimate of each pixel, and how many there were.
     acc = np.zeros(h * w)
     cnt = np.zeros(h * w)
-    for r in _anchor_grid(rows, cfg.stride):
-        members = extract_group(table, sq_norms, r, anchor_cols, cfg)
-        valid = members >= 0
-        sizes = np.count_nonzero(valid, axis=1)
-        # Stack of (pixels, members) group matrices. Zero columns pad the
-        # border groups to the row's widest; see the module docstring.
-        groups = np.where(valid[..., None], flat[members], 0.0)
-        factors = svd(np.swapaxes(groups, 1, 2))
-        weights = group_weights(factors.sigma, sizes[:, None], cfg)
-        d = diag.spectrum(factors.sigma, weights, diag.SolverPath.CLOSED_FORM)
-        d[np.arange(d.shape[1]) >= np.minimum(p * p, sizes)[:, None]] = 0.0
-        estimates = np.swapaxes(reconstruct(factors, d), 1, 2)[valid]
-        m = members[valid]
-        pix = ((m // cols * w + m % cols)[:, None] + offsets).ravel()
-        acc += np.bincount(pix, weights=estimates.ravel(), minlength=h * w)
-        cnt += np.bincount(pix, minlength=h * w)
-        if stats is not None:
-            stats.groups += sizes.size
-            # numpy.linalg.matrix_rank's cut: values below it are rounding.
-            tol = np.maximum(p * p, sizes) * np.finfo(float).eps * factors.sigma[:, 0]
-            stats.ranks.extend(np.count_nonzero(d > tol[:, None], axis=1).tolist())
+    # Entries near the float limit overflow the Gram expansion (its NaN stays
+    # shortlisted) and the squared spectrum (its infinities give zero weights).
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in _anchor_grid(rows, cfg.stride):
+            members = extract_group(table, sq_norms, r, anchor_cols, cfg)
+            valid = members >= 0
+            sizes = np.count_nonzero(valid, axis=1)
+            # Stack of (pixels, members) group matrices. Zero columns pad the
+            # border groups to the row's widest; see the module docstring.
+            groups = np.where(valid[..., None], flat[members], 0.0)
+            factors = thin_svd(np.swapaxes(groups, 1, 2))
+            weights = group_weights(factors.sigma, sizes[:, None], cfg)
+            d = diag.spectrum(factors.sigma, weights, diag.SolverPath.CLOSED_FORM)
+            d[np.arange(d.shape[1]) >= np.minimum(p * p, sizes)[:, None]] = 0.0
+            estimates = np.swapaxes(reconstruct(factors, d), 1, 2)[valid]
+            m = members[valid]
+            pix = ((m // cols * w + m % cols)[:, None] + offsets).ravel()
+            acc += np.bincount(pix, weights=estimates.ravel(), minlength=h * w)
+            cnt += np.bincount(pix, minlength=h * w)
+            if stats is not None:
+                stats.groups += sizes.size
+                # numpy.linalg.matrix_rank's cut: values below it are rounding.
+                tol = np.maximum(p * p, sizes) * np.finfo(float).eps * factors.sigma[:, 0]
+                stats.ranks.extend(np.count_nonzero(d > tol[:, None], axis=1).tolist())
 
     out = img.flatten()
     covered = cnt > 0

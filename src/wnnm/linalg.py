@@ -3,7 +3,8 @@
 Conventions: thin factors only (k = min(m, n) columns), singular values
 sorted non-increasing, and a deterministic sign choice (largest-magnitude
 entry of each left-singular column is nonnegative). A stack of matrices
-(..., m, n) gets the same conventions on each matrix.
+(..., m, n) gets the same conventions on each matrix. Only ``svd`` checks
+its input and fixes the signs; its core ``thin_svd`` serves sign-free uses.
 """
 
 from __future__ import annotations
@@ -51,34 +52,33 @@ def _mT(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fix_signs(f: SvdFactors) -> SvdFactors:
     # Largest-magnitude entry of each column of u made nonnegative; v flipped
     # in lockstep so the product is unchanged.
-    pivot = np.abs(u).argmax(axis=-2)[..., None, :]
-    flip = np.sign(np.take_along_axis(u, pivot, axis=-2))
+    pivot = np.abs(f.u).argmax(axis=-2)[..., None, :]
+    flip = np.sign(np.take_along_axis(f.u, pivot, axis=-2))
     flip[flip == 0] = 1.0
-    return u * flip, v * flip
+    return SvdFactors(u=f.u * flip, sigma=f.sigma, v=f.v * flip)
+
+
+def thin_svd(y: np.ndarray) -> SvdFactors:
+    """``svd`` without its input check and sign choice (the signs are
+    LAPACK's), for a float matrix or stack that ``check_matrix`` accepts.
+    A wide input is factored as its transpose, the factors swapped back."""
+    transposed = y.shape[-2] < y.shape[-1]
+    try:
+        # Looked up per call, so a patched ``np.linalg.svd`` takes effect.
+        u, s, vt = np.linalg.svd(_mT(y) if transposed else y, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
+    v = _mT(vt)
+    return SvdFactors(u=v, sigma=s, v=u) if transposed else SvdFactors(u=u, sigma=s, v=v)
 
 
 def svd(y) -> SvdFactors:
     """Thin SVD of a dense real matrix, or of each matrix in a stack
-    (..., m, n), with the package's fixed conventions.
-
-    Inputs with more columns than rows are transposed internally and the
-    factors swapped on output.
-    """
-    y = check_matrix(y)
-    transposed = y.shape[-2] < y.shape[-1]
-    work = _mT(y) if transposed else y
-    try:
-        u, s, vt = np.linalg.svd(work, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
-    v = _mT(vt)
-    if transposed:
-        u, v = v, u
-    u, v = _fix_signs(u, v)
-    return SvdFactors(u=u, sigma=s, v=v)
+    (..., m, n), with the package's fixed conventions."""
+    return _fix_signs(thin_svd(check_matrix(y)))
 
 
 def reconstruct(f: SvdFactors, d) -> np.ndarray:

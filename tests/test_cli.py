@@ -140,6 +140,32 @@ class TestSolve:
         assert not out.exists()
 
 
+def fail_svd(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+class TestSvdFailure:
+    """A LAPACK non-convergence exits 3 with one line, on every SVD path."""
+
+    def test_solve_exit_3(self, tmp_path, capsys, monkeypatch):
+        m = write_csv(tmp_path / "m.csv", "1,2\n3,4\n")
+        out = tmp_path / "x.csv"
+        monkeypatch.setattr(np.linalg, "svd", fail_svd)
+        code, stdout, err = run(capsys, "solve", "--matrix", m, "--lambda", "1", "--out", str(out))
+        assert code == 3 and stdout == "" and not out.exists()
+        assert err == "numerical error: SVD did not converge: SVD did not converge\n"
+
+    def test_denoise_exit_3(self, tmp_path, capsys, monkeypatch):
+        src, dst = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        write_pgm(src, np.full((8, 8), 100.0))
+        monkeypatch.setattr(np.linalg, "svd", fail_svd)
+        code, stdout, err = run(
+            capsys, "denoise", "--in", str(src), "--out", str(dst), "--sigma", "10", "--patch", "3"
+        )
+        assert code == 3 and stdout == "" and not dst.exists()
+        assert err == "numerical error: SVD did not converge: SVD did not converge\n"
+
+
 class TestDenoise:
     def test_tiny_sigma_near_identity(self, tmp_path, capsys):
         rng = np.random.default_rng(1)

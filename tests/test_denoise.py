@@ -98,7 +98,9 @@ class TestMatcherAgainstNaive:
     """Every anchor's members equal the naive exact-distance stable sort.
 
     The Gram distances of the offset images are off by more than the gaps
-    between exact distances, so ranking by them alone reorders members."""
+    between exact distances, so ranking by them alone reorders members. The
+    window test depends on which columns are anchors, so every column, the
+    two ends and the middle, and the stride-3 grid each take a turn."""
 
     # (patch, group, window): the last two hold groups larger than the window.
     CONFIGS = [(3, 4, 3), (1, 6, 2), (5, 8, 20), (3, 16, 1), (1, 12, 1)]
@@ -110,12 +112,20 @@ class TestMatcherAgainstNaive:
             c = cfg(patch_size=p, group_size=k, search_window=sw)
             table = patch_table(img, p)
             rows, cols = table.shape[:2]
+            anchor_sets = [
+                np.arange(cols),
+                np.array([0, cols // 2, cols - 1]),
+                np.unique(np.append(np.arange(0, cols, 3), cols - 1)),
+            ]
             for r in range(rows):
-                members = extract_group(table, sq_norms(table), r, np.arange(cols), c)
-                for q in range(cols):
-                    got = members[q][members[q] >= 0]
-                    expected = [i * cols + j for i, j in naive_group(img, (r, q), c)]
-                    assert got.tolist() == expected, (name, p, k, sw, r, q)
+                expected = {
+                    q: [i * cols + j for i, j in naive_group(img, (r, q), c)] for q in range(cols)
+                }
+                for anchors in anchor_sets:
+                    members = extract_group(table, sq_norms(table), r, anchors, c)
+                    for row, q in zip(members, anchors):
+                        got = row[row >= 0].tolist()
+                        assert got == expected[q], (name, p, k, sw, r, q, anchors.size)
 
 
 class TestGroupWeights:
@@ -324,6 +334,13 @@ class TestDenoise:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * table_bytes
+
+    def test_huge_finite_entries_warn_nothing(self):
+        # The Gram expansion and the squared spectrum overflow; under the
+        # suite's filterwarnings = error, a numpy warning would escape.
+        img = np.random.default_rng(10).uniform(1, 2, (16, 16)) * 1e200
+        for c in (DenoiseConfig(noise_sigma=20.0), cfg()):
+            np.testing.assert_array_equal(denoise(img, c), np.full((16, 16), 255.0))
 
     def test_patch_too_large(self):
         with pytest.raises(InvalidInputError):
