@@ -33,6 +33,7 @@ The weight scheme is a demo-only choice, not part of the solver contract.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,11 @@ class DenoiseConfig:
         # "not 0 < x < inf" also rejects NaN.
         if not 0.0 < self.noise_sigma < math.inf:
             raise InvalidInputError("noise_sigma must be positive and finite")
+        for name in ("patch_size", "group_size", "search_window", "stride"):
+            try:  # takes Python and numpy integers, but no float, not even 3.0
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise InvalidInputError(f"{name} must be an integer") from None
         if self.patch_size < 1 or self.patch_size % 2 == 0:
             raise InvalidInputError("patch_size must be an odd positive integer")
         for name in ("group_size", "search_window", "stride"):

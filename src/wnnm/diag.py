@@ -38,13 +38,16 @@ class DiagSolution:
     path: SolverPath
 
 
-def _as_vector(x, name: str) -> np.ndarray:
+def _as_vector(x, name: str) -> tuple[np.ndarray, float]:
+    """A finite float vector, and its minimum if negative (else 0.0)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise InvalidInputError(f"{name} must be a 1-D vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    lo, hi = x.min(initial=0.0), x.max(initial=0.0)  # 0.0: an empty x passes
+    # -inf shows in the min, +inf in the max, and NaN in both, failing "<".
+    if not -np.inf < lo <= hi < np.inf:
         raise InvalidInputError(f"{name} contains NaN or Inf")
-    return x
+    return x, lo
 
 
 def weights_non_descending(w: np.ndarray) -> bool:
@@ -57,24 +60,24 @@ def weights_non_descending(w: np.ndarray) -> bool:
 def _check_instance(sigma, w) -> tuple[np.ndarray, np.ndarray]:
     """Validate one subproblem instance: a sorted nonnegative spectrum and
     one nonnegative weight per singular value."""
-    sigma = _as_vector(sigma, "sigma")
-    w = _as_vector(w, "weights")
+    sigma, sigma_min = _as_vector(sigma, "sigma")
+    w, w_min = _as_vector(w, "weights")
     if sigma.size != w.size:
         raise InvalidInputError(f"weight vector has length {w.size}, expected {sigma.size}")
-    if sigma.size:
-        if w.min() < 0.0:
-            raise InvalidInputError(f"weights must be nonnegative, got min {w.min()}")
-        if sigma.min() < 0.0:
-            raise InvalidInputError(f"singular values must be nonnegative, got min {sigma.min()}")
-        if np.any(sigma[1:] > sigma[:-1]):
-            raise InvalidInputError("singular values must be sorted non-increasing")
+    if w_min < 0.0:
+        raise InvalidInputError(f"weights must be nonnegative, got min {w_min}")
+    if sigma_min < 0.0:
+        raise InvalidInputError(f"singular values must be nonnegative, got min {sigma_min}")
+    if (sigma[1:] > sigma[:-1]).any():
+        raise InvalidInputError("singular values must be sorted non-increasing")
     return sigma, w
 
 
 def _objective(d, sigma, w) -> float:
     # An overflow gives inf, which callers report; numpy need not warn too.
     with np.errstate(over="ignore"):
-        return float(np.sum((d - sigma) ** 2 + w * d))
+        r = d - sigma
+        return float(r @ r + w @ d)
 
 
 def _pool_blocks(block_sums, block_counts) -> tuple[np.ndarray, np.ndarray]:
@@ -98,13 +101,15 @@ def project_monotone_nonneg(t) -> np.ndarray:
     """Euclidean projection onto {d : d_1 >= ... >= d_n >= 0}.
 
     PAVA on blocks held as (sum, count), starting from one block per
-    target, then a clamp at zero. Two stages:
+    target; the block means are clamped at zero, then repeated. Two stages:
 
-    1. Vectorized passes. Each pass compares adjacent block means: a block
-       whose mean is above its predecessor's joins the predecessor's run. A
-       cumulative sum of the run heads numbers the runs, and one
-       ``np.bincount`` on the sums and one on the counts merge every run. A
-       pass that finds no violator ends the projection.
+    1. Vectorized passes. Each pass marks run heads in one reused buffer: a
+       block whose mean is above its predecessor's joins that run. A
+       cumulative sum of the heads numbers the runs, one ``np.bincount`` on
+       the sums and one on the counts merge every run, and one division
+       gives the new means. The first pass takes the raw targets and counts
+       unweighted. A pass that finds no violator ends the projection; if
+       the first does, the clamped targets are the answer.
     2. Once the passes have visited more than 4n blocks in total, the
        surviving blocks go to the stack loop (``_pool_blocks``), which
        finishes them. Spectra converge within the budget, so the loop is a
@@ -119,27 +124,30 @@ def project_monotone_nonneg(t) -> np.ndarray:
     compared by the same division that produces the output, so the emitted
     chain holds exactly in floating point.
     """
-    sums = np.asarray(t, dtype=float)
-    # Float counts: exact up to 2**53 and divided into the sums without a cast.
-    counts = np.ones(sums.size)
+    sums = means = np.asarray(t, dtype=float)
+    counts = None  # one block per target until a pass merges
+    # One buffer for every pass; head[0] stays False, so the cumulative sum
+    # of the run heads numbers the runs from 0.
+    head = np.zeros(sums.size, dtype=bool)
     budget = 4 * sums.size
-    while True:
-        means = sums / counts
-        head = np.ones(means.size, dtype=bool)
-        np.greater_equal(means[:-1], means[1:], out=head[1:])
-        if head.all():
+    while budget >= 0:
+        m = means.size
+        np.greater_equal(means[:-1], means[1:], out=head[1:m])
+        if head[1:m].all():
             break
-        budget -= means.size
-        ids = np.cumsum(head) - 1
+        budget -= m
+        ids = np.cumsum(head[:m])
+        # Float counts: exact up to 2**53 and divided into the sums without a
+        # cast. The first pass counts its runs unweighted.
+        counts = np.bincount(ids, weights=counts).astype(float, copy=False)
         sums = np.bincount(ids, weights=sums)
-        counts = np.bincount(ids, weights=counts)
-        if budget < 0:
-            sums, counts = _pool_blocks(sums, counts)
-            means = sums / counts
-            break
-    out = np.repeat(means, counts.astype(np.intp))
-    np.maximum(out, 0.0, out=out)
-    return out
+        means = sums / counts
+    else:  # past the budget: the stack loop finishes the surviving blocks
+        sums, counts = _pool_blocks(sums, counts)
+        means = sums / counts
+    if counts is None:  # no pass merged
+        return np.maximum(means, 0.0)
+    return np.repeat(np.maximum(means, 0.0, out=means), counts.astype(np.intp))
 
 
 def spectrum(sigma, w, path: SolverPath) -> np.ndarray:

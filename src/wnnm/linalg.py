@@ -70,7 +70,7 @@ def thin_svd(y: np.ndarray) -> SvdFactors:
         # Looked up per call, so a patched ``np.linalg.svd`` takes effect.
         u, s, vt = np.linalg.svd(_mT(y) if transposed else y, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
+        raise NumericalFailureError("SVD did not converge") from exc
     v = _mT(vt)
     return SvdFactors(u=v, sigma=s, v=u) if transposed else SvdFactors(u=u, sigma=s, v=v)
 

@@ -153,7 +153,7 @@ class TestSvdFailure:
         monkeypatch.setattr(np.linalg, "svd", fail_svd)
         code, stdout, err = run(capsys, "solve", "--matrix", m, "--lambda", "1", "--out", str(out))
         assert code == 3 and stdout == "" and not out.exists()
-        assert err == "numerical error: SVD did not converge: SVD did not converge\n"
+        assert err == "numerical error: SVD did not converge\n"
 
     def test_denoise_exit_3(self, tmp_path, capsys, monkeypatch):
         src, dst = tmp_path / "in.pgm", tmp_path / "out.pgm"
@@ -163,7 +163,7 @@ class TestSvdFailure:
             capsys, "denoise", "--in", str(src), "--out", str(dst), "--sigma", "10", "--patch", "3"
         )
         assert code == 3 and stdout == "" and not dst.exists()
-        assert err == "numerical error: SVD did not converge: SVD did not converge\n"
+        assert err == "numerical error: SVD did not converge\n"
 
 
 class TestDenoise:

@@ -30,6 +30,10 @@ class TestConfig:
             {"noise_sigma": float("inf")},
             {"noise_sigma": 10.0, "weight_constant": float("nan")},
             {"noise_sigma": 10.0, "weight_constant": float("inf")},
+            {"noise_sigma": 10.0, "patch_size": 3.0},
+            {"noise_sigma": 10.0, "group_size": 4.5},
+            {"noise_sigma": 10.0, "search_window": 2.5},
+            {"noise_sigma": 10.0, "stride": 1.5},
         ],
     )
     def test_invalid_rejected(self, kw):

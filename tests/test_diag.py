@@ -233,10 +233,15 @@ def family_targets(family, n, rng, scale):
         return np.repeat(rng.integers(0, 4, n), rng.integers(1, 6, n))[:n] * scale
     if family == "noise":
         return rng.standard_normal(n) * scale
-    # the spectrum-20k recipe: sorted sigma, sorted weights plus noise
+    sigma, w = spectrum_instance(n, rng, scale)
+    return sigma - w / 2.0
+
+
+def spectrum_instance(n, rng, scale):
+    """The spectrum-20k recipe: sorted sigma, sorted weights plus noise."""
     sigma = np.sort(rng.uniform(0.0, 100.0, n))[::-1]
     w = np.abs(np.sort(rng.uniform(0.0, 20.0, n)) + scale * rng.standard_normal(n))
-    return sigma - w / 2.0
+    return sigma, w
 
 
 FAMILIES = ["non-increasing", "increasing", "cascade", "sawtooth", "equal-means", "noise",
@@ -297,3 +302,24 @@ def test_passes_hand_off_to_the_loop_only_past_the_budget(monkeypatch, family, s
     assert_matches_naive(family_targets(family, n, np.random.default_rng(11), scale))
     assert bool(loop_calls) == loops
     assert counting.visited <= 5 * n
+
+
+def test_sorted_targets_take_one_pass(monkeypatch):
+    """Targets that are already non-increasing cost one comparison pass of n
+    blocks and come back clamped, with no merge."""
+    n = 20000
+    t = family_targets("non-increasing", n, np.random.default_rng(11), 1.0)
+    counting = CountingNumpy()
+    monkeypatch.setattr(diag, "np", counting)
+    d = project_monotone_nonneg(t)
+    assert counting.visited == n
+    np.testing.assert_array_equal(d, np.maximum(t, 0.0))
+
+
+@pytest.mark.parametrize("scale", [0.08, 1.0, 40.0])
+def test_objective_matches_recomputation_at_20k(scale):
+    """The objective's two dot products agree with the elementwise sum."""
+    sigma, w = spectrum_instance(20000, np.random.default_rng(11), scale)
+    sol = pava_solve(sigma, w)
+    direct = np.sum((sol.d - sigma) ** 2 + w * sol.d)
+    assert abs(sol.objective - direct) <= 1e-12 * (1.0 + abs(direct))
