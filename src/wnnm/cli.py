@@ -116,11 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True, help="input PGM (P5)")
     p.add_argument("--out", dest="output", required=True, help="output PGM")
     p.add_argument("--sigma", type=float, required=True, help="noise standard deviation")
-    p.add_argument("--patch", type=int, default=7)
-    p.add_argument("--group", type=int, default=16)
-    p.add_argument("--window", type=int, default=20)
-    p.add_argument("--stride", type=int, default=3)
-    p.add_argument("--c", type=float, default=DenoiseConfig.__dataclass_fields__["weight_constant"].default)
+    tuning = DenoiseConfig.__dataclass_fields__  # the one place each default is written
+    p.add_argument("--patch", type=int, default=tuning["patch_size"].default)
+    p.add_argument("--group", type=int, default=tuning["group_size"].default)
+    p.add_argument("--window", type=int, default=tuning["search_window"].default)
+    p.add_argument("--stride", type=int, default=tuning["stride"].default)
+    p.add_argument("--c", type=float, default=tuning["weight_constant"].default)
     p.set_defaults(func=cmd_denoise)
 
     p = sub.add_parser("selftest", help="run the seeded verification suites")

@@ -50,6 +50,19 @@ def _as_vector(x, name: str) -> tuple[np.ndarray, float]:
     return x, lo
 
 
+def _positive_count(x, name: str) -> int:
+    """``x`` as an int >= 1, else ``InvalidInputError``."""
+    import operator  # here, so importing the package does no new work
+
+    try:  # takes Python and numpy integers, but no float, not even 3.0
+        x = operator.index(x)
+    except TypeError:
+        x = 0
+    if x < 1:
+        raise InvalidInputError(f"{name} must be >= 1")
+    return x
+
+
 def weights_non_descending(w: np.ndarray) -> bool:
     # Exact: weights out of order by any amount can make the closed form
     # infeasible. A comparison, unlike a difference, raises no warning on
@@ -190,10 +203,9 @@ def projgrad_reference(sigma, w, tol: float = 1e-10, max_iter: int = 10000) -> D
     iterate moves less than ``tol`` in max-norm.
     """
     sigma, w = _check_instance(sigma, w)
-    if tol <= 0.0:
+    if not 0.0 < tol < np.inf:  # also rejects NaN
         raise InvalidInputError("tol must be positive")
-    if max_iter < 1:
-        raise InvalidInputError("max_iter must be >= 1")
+    max_iter = _positive_count(max_iter, "max_iter")
     step = 0.25
     d = sigma.copy()
     for _ in range(max_iter):
@@ -225,7 +237,7 @@ def brute_force_oracle(sigma, w, grid_step: float) -> DiagSolution:
     n = sigma.size
     if n > 4:
         raise InvalidInputError("brute_force_oracle is limited to n <= 4")
-    if grid_step <= 0.0:
+    if not 0.0 < grid_step < np.inf:
         raise InvalidInputError("grid_step must be positive")
     if n == 0:
         return DiagSolution(d=np.empty(0), objective=0.0, path=SolverPath.BRUTE_FORCE)

@@ -4,10 +4,11 @@ Each suite cross-checks one analytic claim against an independent route:
 PAVA vs grid oracle, PAVA vs projected gradient, nnm_solve vs direct
 soft-thresholding of numpy's SVD, the spectral trace identity, and the KKT
 certificate of the spectrum QP at sizes up to n = 20000.
-Each suite returns whether it passed and a detail: the counterexample of a
-failure, or the worst ratio of a passing suite's gap to its bound (a
-negative oracle gap means PAVA beat the grid). Output is deterministic for a
-fixed seed.
+Each suite is a function that draws one instance and returns its gap, the
+bound on that gap and a detail; the one driver ``_suite`` runs it. A gap
+not <= its bound (NaN included) fails the suite with that detail; a pass
+reports the worst gap/bound (a negative oracle gap means PAVA beat the
+grid). Output is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -37,77 +38,48 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _margin(worst) -> str:
-    return f"worst gap/bound {worst:.3g}"
-
-
-def suite_oracle(rng, count):
+def oracle_dominance(rng):
     """PAVA objective never exceeds the grid oracle's (n <= 3)."""
-    worst = -np.inf
-    for i in range(count):
-        n = int(rng.integers(1, 4))
-        sigma = random_sigma(rng, n)
-        w = rng.uniform(0.0, 2.0 * (sigma[0] if n else 1.0), size=n)
-        got = diag.pava_solve(sigma, w).objective
-        ref = diag.brute_force_oracle(sigma, w, grid_step=1e-3).objective
-        if not got <= ref + 1e-4:
-            return False, (
-                f"instance {i}: sigma={sigma.tolist()} w={w.tolist()} "
-                f"pava={_fmt(got)} oracle={_fmt(ref)}"
-            )
-        worst = max(worst, (got - ref) / 1e-4)
-    return True, _margin(worst)
+    n = int(rng.integers(1, 4))
+    sigma = random_sigma(rng, n)
+    w = rng.uniform(0.0, 2.0 * (sigma[0] if n else 1.0), size=n)
+    got = diag.pava_solve(sigma, w).objective
+    ref = diag.brute_force_oracle(sigma, w, grid_step=1e-3).objective
+    detail = f"sigma={sigma.tolist()} w={w.tolist()} pava={_fmt(got)} oracle={_fmt(ref)}"
+    return got - ref, 1e-4, detail
 
 
-def suite_cross_solver(rng, count):
+def cross_solver(rng):
     """PAVA agrees with the projected-gradient reference (n <= 10)."""
-    worst = 0.0
-    for i in range(count):
-        n = int(rng.integers(1, 11))
-        sigma = random_sigma(rng, n)
-        w = rng.uniform(0.0, 3.0, size=n)
-        a = diag.pava_solve(sigma, w).objective
-        b = diag.projgrad_reference(sigma, w, tol=1e-12, max_iter=100000).objective
-        if abs(a - b) > 1e-6:
-            return False, (
-                f"instance {i}: sigma={sigma.tolist()} w={w.tolist()} "
-                f"pava={_fmt(a)} projgrad={_fmt(b)}"
-            )
-        worst = max(worst, abs(a - b) / 1e-6)
-    return True, _margin(worst)
+    n = int(rng.integers(1, 11))
+    sigma = random_sigma(rng, n)
+    w = rng.uniform(0.0, 3.0, size=n)
+    a = diag.pava_solve(sigma, w).objective
+    b = diag.projgrad_reference(sigma, w, tol=1e-12, max_iter=100000).objective
+    detail = f"sigma={sigma.tolist()} w={w.tolist()} pava={_fmt(a)} projgrad={_fmt(b)}"
+    return abs(a - b), 1e-6, detail
 
 
-def suite_trace_identity(rng, count, trials):
+def trace_identity(rng, trials):
     """Trace form peaks at the SVD factors with value sum(sigma_i * w_i)."""
-    worst = -np.inf
-    for i in range(count):
-        a = random_matrix(rng)
-        k = min(a.shape)
-        w = np.sort(rng.uniform(0.0, 3.0, size=k))[::-1].copy()
-        rep = solver.trace_identity_check(a, w, trials=trials, rng=rng)
-        gap = max(abs(rep.lhs - rep.rhs_at_svd), rep.max_random_rhs - rep.lhs)
-        if not gap <= 1e-8:
-            return False, (
-                f"instance {i}: lhs={_fmt(rep.lhs)} at_svd={_fmt(rep.rhs_at_svd)} "
-                f"max_random={_fmt(rep.max_random_rhs)}"
-            )
-        worst = max(worst, gap / 1e-8)
-    return True, _margin(worst)
+    a = random_matrix(rng)
+    k = min(a.shape)
+    w = np.sort(rng.uniform(0.0, 3.0, size=k))[::-1].copy()
+    rep = solver.trace_identity_check(a, w, trials=trials, rng=rng)
+    # np.max, unlike Python's max, keeps a NaN in either place.
+    gap = np.max([abs(rep.lhs - rep.rhs_at_svd), rep.max_random_rhs - rep.lhs])
+    detail = f"lhs={_fmt(rep.lhs)} at_svd={_fmt(rep.rhs_at_svd)} max_random={_fmt(rep.max_random_rhs)}"
+    return gap, 1e-8, detail
 
 
-def suite_nnm_equivalence(rng, count):
+def nnm_equivalence(rng):
     """nnm_solve matches soft-thresholding of numpy's own SVD at lam/2."""
-    worst = 0.0
-    for i in range(count):
-        y = random_matrix(rng)
-        lam = float(rng.uniform(0.0, 2.0 * np.linalg.norm(y, 2)))
-        u, s, vt = np.linalg.svd(y, full_matrices=False)
-        ref = (u * np.maximum(s - lam / 2.0, 0.0)) @ vt
-        err = float(np.max(np.abs(solver.nnm_solve(y, lam).x_star - ref)))
-        if not err <= 1e-10:
-            return False, f"instance {i}: lam={_fmt(lam)} entrywise gap={_fmt(err)}"
-        worst = max(worst, err / 1e-10)
-    return True, _margin(worst)
+    y = random_matrix(rng)
+    lam = float(rng.uniform(0.0, 2.0 * np.linalg.norm(y, 2)))
+    u, s, vt = np.linalg.svd(y, full_matrices=False)
+    ref = (u * np.maximum(s - lam / 2.0, 0.0)) @ vt
+    err = float(np.max(np.abs(solver.nnm_solve(y, lam).x_star - ref)))
+    return err, 1e-10, f"lam={_fmt(lam)} entrywise gap={_fmt(err)}"
 
 
 def kkt_violation(sigma, w, d) -> tuple[float, float]:
@@ -129,19 +101,28 @@ def kkt_violation(sigma, w, d) -> tuple[float, float]:
     return violation, bound
 
 
-def suite_kkt_certificate(rng, count):
+def kkt_certificate(rng):
     """PAVA's spectrum is feasible and meets the KKT conditions (n <= 20000)."""
-    worst = 0.0
+    n = int(rng.integers(1, 20001))
+    sigma = random_sigma(rng, n, top=100.0)
+    w = rng.uniform(0.0, float(rng.choice([1.0, 30.0, 300.0])), size=n)
+    d = diag.pava_solve(sigma, w).d
+    violation, bound = kkt_violation(sigma, w, d)
+    if not (np.all(np.diff(d) <= 0.0) and d[-1] >= 0.0):
+        violation = np.inf  # infeasible: no certificate applies
+    return violation, bound, f"n={n} kkt violation={_fmt(violation)} bound={_fmt(bound)}"
+
+
+def _suite(rng, count, draw) -> tuple[bool, str]:
+    """Check ``count`` instances of ``draw``. Returns whether all passed,
+    and the first failing instance or the worst gap/bound."""
+    worst = -np.inf
     for i in range(count):
-        n = int(rng.integers(1, 20001))
-        sigma = random_sigma(rng, n, top=100.0)
-        w = rng.uniform(0.0, float(rng.choice([1.0, 30.0, 300.0])), size=n)
-        d = diag.pava_solve(sigma, w).d
-        violation, bound = kkt_violation(sigma, w, d)
-        if not (np.all(np.diff(d) <= 0.0) and d[-1] >= 0.0 and violation <= bound):
-            return False, f"instance {i}: n={n} kkt violation={_fmt(violation)} bound={_fmt(bound)}"
-        worst = max(worst, violation / bound)
-    return True, f"worst violation/bound {worst:.3g}"
+        gap, bound, detail = draw(rng)
+        if not gap <= bound:
+            return False, f"instance {i}: {detail}"
+        worst = max(worst, gap / bound)
+    return True, f"worst gap/bound {worst:.3g}"
 
 
 def run_selftest(seed: int, scale: str) -> int:
@@ -151,17 +132,16 @@ def run_selftest(seed: int, scale: str) -> int:
     counts = SCALE_COUNTS[scale]
     rng = np.random.default_rng(seed)
     suites = [
-        ("oracle-dominance", lambda: suite_oracle(rng, counts["oracle"])),
-        ("cross-solver", lambda: suite_cross_solver(rng, counts["cross"])),
-        ("trace-identity", lambda: suite_trace_identity(rng, counts["trace"], counts["trace_trials"])),
-        ("nnm-equivalence", lambda: suite_nnm_equivalence(rng, counts["nnm"])),
-        ("kkt-certificate", lambda: suite_kkt_certificate(rng, counts["kkt"])),
+        ("oracle-dominance", counts["oracle"], oracle_dominance),
+        ("cross-solver", counts["cross"], cross_solver),
+        ("trace-identity", counts["trace"], lambda rng: trace_identity(rng, counts["trace_trials"])),
+        ("nnm-equivalence", counts["nnm"], nnm_equivalence),
+        ("kkt-certificate", counts["kkt"], kkt_certificate),
     ]
     failures = 0
-    for name, fn in suites:
-        passed, detail = fn()
+    for name, count, draw in suites:
+        passed, detail = _suite(rng, count, draw)
         failures += not passed
-        status = "PASS" if passed else "FAIL"
-        print(f"{name}: {status}" + (f" ({detail})" if detail else ""))
+        print(f"{name}: {'PASS' if passed else 'FAIL'} ({detail})")
     print(f"{len(suites) - failures}/{len(suites)} suites passed")
     return 0 if failures == 0 else 1

@@ -98,8 +98,7 @@ def trace_identity_check(a, w, trials: int, rng=None) -> TraceIdentityReport:
     _, w = diag._check_instance(f.sigma, w)
     if np.any(w[1:] > w[:-1]):
         raise PreconditionError("trace identity requires non-ascending weights")
-    if trials < 1:
-        raise InvalidInputError("trials must be >= 1")
+    trials = diag._positive_count(trials, "trials")
     rng = np.random.default_rng(rng)
 
     k = f.sigma.size

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wnnm.diag
-from wnnm import InvalidInputError, nnm_solve, read_pgm, write_pgm
+import wnnm.solver
+from wnnm import DenoiseConfig, InvalidInputError, denoise, nnm_solve, read_pgm, write_pgm
 from wnnm.cli import main, read_matrix_csv, write_matrix_csv
 
 
@@ -229,6 +230,14 @@ class TestDenoise:
         assert code == 0 and err == ""
         assert np.all(read_pgm(dst) == 0.0)
 
+    def test_defaults_are_denoise_config_defaults(self, tmp_path, capsys):
+        src, dst, ref = tmp_path / "in.pgm", tmp_path / "out.pgm", tmp_path / "ref.pgm"
+        write_pgm(src, np.random.default_rng(3).integers(0, 256, size=(24, 24)))
+        code, _, err = run(capsys, "denoise", "--in", str(src), "--out", str(dst), "--sigma", "20")
+        assert code == 0 and err == ""
+        write_pgm(ref, denoise(read_pgm(src), DenoiseConfig(noise_sigma=20.0)))
+        assert dst.read_bytes() == ref.read_bytes()
+
     def test_group_beyond_c_long_takes_whole_window(self, tmp_path, capsys):
         # A group larger than every window takes the whole window, however
         # large: 10**20 does not fit a C long.
@@ -251,9 +260,10 @@ class TestSelftest:
         code, stdout, _ = run(capsys, "selftest")
         assert code == 0
         assert stdout.count("PASS") == 5
-        for suite in ("oracle-dominance", "cross-solver", "trace-identity", "nnm-equivalence"):
+        for suite in (
+            "oracle-dominance", "cross-solver", "trace-identity", "nnm-equivalence", "kkt-certificate"
+        ):
             assert f"{suite}: PASS (worst gap/bound " in stdout
-        assert "kkt-certificate: PASS (worst violation/bound " in stdout
 
     def test_negative_seed_exit_2(self, capsys):
         code, stdout, err = run(capsys, "selftest", "--seed", "-1")
@@ -271,6 +281,25 @@ class TestSelftest:
         code, stdout, _ = run(capsys, "selftest")
         assert code == 1
         assert "oracle-dominance: FAIL" in stdout
+
+    @pytest.mark.parametrize(
+        "module, name, field, suite",
+        [
+            (wnnm.diag, "pava_solve", "objective", "cross-solver"),
+            (wnnm.solver, "trace_identity_check", "max_random_rhs", "trace-identity"),
+        ],
+        ids=["cross-solver", "trace-identity"],
+    )
+    def test_nan_result_fails(self, capsys, monkeypatch, module, name, field, suite):
+        real = getattr(module, name)
+
+        def nan_result(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), **{field: float("nan")})
+
+        monkeypatch.setattr(module, name, nan_result)
+        code, stdout, _ = run(capsys, "selftest")
+        assert code == 1
+        assert f"{suite}: FAIL (instance 0: " in stdout
 
 
 CELLS = st.one_of(

@@ -134,6 +134,11 @@ class TestProjGrad:
             projgrad_reference([1], [1], tol=0.0)
         with pytest.raises(InvalidInputError):
             projgrad_reference([1], [1], max_iter=0)
+        for tol in (np.nan, np.inf):
+            with pytest.raises(InvalidInputError, match="tol must be positive"):
+                projgrad_reference([1], [1], tol=tol)
+        with pytest.raises(InvalidInputError, match="max_iter must be >= 1"):
+            projgrad_reference([1], [1], max_iter=2.5)
 
     def test_random_cross_agreement(self):
         rng = np.random.default_rng(7)
@@ -153,6 +158,11 @@ class TestOracle:
     def test_refuses_large_instances(self):
         with pytest.raises(InvalidInputError):
             brute_force_oracle([5, 4, 3, 2, 1], [1, 1, 1, 1, 1], 0.1)
+
+    @pytest.mark.parametrize("grid_step", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_grid_step(self, grid_step):
+        with pytest.raises(InvalidInputError, match="grid_step must be positive"):
+            brute_force_oracle([3, 2], [4, 0], grid_step)
 
     def test_result_is_feasible(self):
         rng = np.random.default_rng(8)
