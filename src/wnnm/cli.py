@@ -57,10 +57,11 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 def write_matrix_csv(path, m: np.ndarray) -> None:
-    # repr() emits the shortest decimal that round-trips the float exactly.
+    # repr() emits the shortest decimal that round-trips the float exactly;
+    # one row's tolist() at a time keeps a single row of Python floats alive.
     with open(path, "w", encoding="ascii") as fh:
-        for row in np.atleast_2d(m):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        for row in np.atleast_2d(m).astype(float, copy=False):
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def cmd_solve(args) -> int:
@@ -70,11 +71,11 @@ def cmd_solve(args) -> int:
     else:
         w = np.full(min(y.shape), args.lam)
     result = wnnm_solve(y, w)
-    if not (np.isfinite(result.objective) and np.all(np.isfinite(result.x_star))):
-        raise NumericalFailureError(f"non-finite result (objective {result.objective!r})")
+    if not (np.isfinite(result.d.objective) and np.all(np.isfinite(result.x_star))):
+        raise NumericalFailureError(f"non-finite result (objective {result.d.objective!r})")
     write_matrix_csv(args.out, result.x_star)
-    print(f"objective: {result.objective!r}")
-    print(f"path: {result.path.value}")
+    print(f"objective: {result.d.objective!r}")
+    print(f"path: {result.d.path.value}")
     print(f"d: {result.d.d.tolist()}")
     return EXIT_OK
 

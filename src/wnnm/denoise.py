@@ -14,8 +14,7 @@ everything is array code:
   The exact squared distances of the shortlist are recomputed, and one
   lexsort on (anchor, exact distance, scan index) picks the members.
 * Shrinkage. One ``thin_svd`` call (the core of ``svd``, without its input
-  check and sign choice: the image is checked once, and U diag(d) V^T does
-  not depend on the signs) takes all of the row's groups, the border
+  check: the image is checked once) takes all of the row's groups, the border
   groups (fewer than K patches in the window) padded with zero columns.
   That is exact: zero columns leave a group's min(p*p, k) singular values
   unchanged and add only zeros, whose ``d`` is set to 0 (LAPACK can return

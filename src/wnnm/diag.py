@@ -24,6 +24,9 @@ import numpy as np
 from .exceptions import ConvergenceError, InvalidInputError, PreconditionError
 
 
+ORACLE_MAX_POINTS = 10**6  # brute_force_oracle's grid: n rows of this many floats
+
+
 class SolverPath(enum.Enum):
     CLOSED_FORM = "closed_form"
     PAVA = "pava"
@@ -231,7 +234,8 @@ def brute_force_oracle(sigma, w, grid_step: float) -> DiagSolution:
 
     The minimum over that (combinatorially large) candidate set is computed
     exactly with a dynamic program over grid levels, so the result is
-    identical to literal enumeration. Restricted to n <= 4.
+    identical to literal enumeration. Restricted to n <= 4 and to at most
+    ``ORACLE_MAX_POINTS`` grid points.
     """
     sigma, w = _check_instance(sigma, w)
     n = sigma.size
@@ -243,6 +247,10 @@ def brute_force_oracle(sigma, w, grid_step: float) -> DiagSolution:
         return DiagSolution(d=np.empty(0), objective=0.0, path=SolverPath.BRUTE_FORCE)
 
     top = sigma[0] + 1.0
+    if top / grid_step + 1.0 > ORACLE_MAX_POINTS:  # checked before any allocation
+        raise InvalidInputError(
+            f"grid_step {grid_step} needs over {ORACLE_MAX_POINTS} grid points up to {top}"
+        )
     grid = np.arange(0.0, top + grid_step / 2.0, grid_step)
     cost = (grid[None, :] - sigma[:, None]) ** 2 + w[:, None] * grid[None, :]
 

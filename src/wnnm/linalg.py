@@ -1,10 +1,10 @@
-"""Dense SVD with fixed output conventions, plus reconstruction helpers.
+"""Dense thin SVD plus reconstruction.
 
-Conventions: thin factors only (k = min(m, n) columns), singular values
-sorted non-increasing, and a deterministic sign choice (largest-magnitude
-entry of each left-singular column is nonnegative). A stack of matrices
-(..., m, n) gets the same conventions on each matrix. Only ``svd`` checks
-its input and fixes the signs; its core ``thin_svd`` serves sign-free uses.
+Thin factors only (k = min(m, n) columns), singular values sorted
+non-increasing, the signs as LAPACK returns them: ``U diag(d) V^T`` does
+not depend on them. A stack of matrices (..., m, n) is factored matrix by
+matrix. Only ``svd`` checks its input; its core ``thin_svd`` serves callers
+that have checked theirs.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ class SvdFactors:
     sigma: np.ndarray
     v: np.ndarray
 
-    @property
-    def shape(self):
-        return (self.u.shape[-2], self.v.shape[-2])
-
 
 def check_matrix(a) -> np.ndarray:
     """Validate and return a nonempty float matrix, or stack of matrices
@@ -52,19 +48,10 @@ def _mT(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def _fix_signs(f: SvdFactors) -> SvdFactors:
-    # Largest-magnitude entry of each column of u made nonnegative; v flipped
-    # in lockstep so the product is unchanged.
-    pivot = np.abs(f.u).argmax(axis=-2)[..., None, :]
-    flip = np.sign(np.take_along_axis(f.u, pivot, axis=-2))
-    flip[flip == 0] = 1.0
-    return SvdFactors(u=f.u * flip, sigma=f.sigma, v=f.v * flip)
-
-
 def thin_svd(y: np.ndarray) -> SvdFactors:
-    """``svd`` without its input check and sign choice (the signs are
-    LAPACK's), for a float matrix or stack that ``check_matrix`` accepts.
-    A wide input is factored as its transpose, the factors swapped back."""
+    """``svd`` without its input check, for a float matrix or stack that
+    ``check_matrix`` accepts. A wide input is factored as its transpose,
+    the factors swapped back."""
     transposed = y.shape[-2] < y.shape[-1]
     try:
         # Looked up per call, so a patched ``np.linalg.svd`` takes effect.
@@ -77,8 +64,8 @@ def thin_svd(y: np.ndarray) -> SvdFactors:
 
 def svd(y) -> SvdFactors:
     """Thin SVD of a dense real matrix, or of each matrix in a stack
-    (..., m, n), with the package's fixed conventions."""
-    return _fix_signs(thin_svd(check_matrix(y)))
+    (..., m, n), with finite entries."""
+    return thin_svd(check_matrix(y))
 
 
 def reconstruct(f: SvdFactors, d) -> np.ndarray:

@@ -12,17 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diag
-from .diag import DiagSolution, SolverPath
+from .diag import DiagSolution
 from .exceptions import InvalidInputError, PreconditionError
-from .linalg import SvdFactors, check_matrix, reconstruct, svd
+from .linalg import SvdFactors, check_matrix, reconstruct, svd, thin_svd
 
 
 @dataclass(frozen=True)
 class WnnmResult:
     x_star: np.ndarray
     d: DiagSolution
-    objective: float
-    path: SolverPath
 
 
 def objective_full(y, x, w) -> float:
@@ -31,7 +29,7 @@ def objective_full(y, x, w) -> float:
     x = check_matrix(x)
     if y.shape != x.shape:
         raise InvalidInputError(f"shape mismatch: y is {y.shape}, x is {x.shape}")
-    sigma_x, w = diag._check_instance(svd(x).sigma, w)
+    sigma_x, w = diag._check_instance(thin_svd(x).sigma, w)
     return float(np.sum((y - x) ** 2) + np.sum(w * sigma_x))
 
 
@@ -39,10 +37,10 @@ def shrink(factors: SvdFactors, w) -> WnnmResult:
     """Apply the WNNM operator to the matrix whose thin SVD is ``factors``.
 
     The weights choose the path: the closed form when they are
-    non-descending, PAVA otherwise. The objective is the spectrum objective
-    of ``d``. It equals the full objective at ``x_star`` because ``x_star``
-    shares the singular vectors of the input; ``objective_full`` is the
-    independent check.
+    non-descending, PAVA otherwise. ``d.objective`` is the spectrum
+    objective of ``d.d``. It equals the full objective at ``x_star``
+    because ``x_star`` shares the singular vectors of the input;
+    ``objective_full`` is the independent check.
     """
     w = np.asarray(w, dtype=float)
     if w.shape != factors.sigma.shape:
@@ -52,7 +50,7 @@ def shrink(factors: SvdFactors, w) -> WnnmResult:
     solve = diag.closed_form if diag.weights_non_descending(w) else diag.pava_solve
     sol = solve(factors.sigma, w)
     x_star = reconstruct(factors, sol.d)
-    return WnnmResult(x_star=x_star, d=sol, objective=sol.objective, path=sol.path)
+    return WnnmResult(x_star=x_star, d=sol)
 
 
 def wnnm_solve(y, w) -> WnnmResult:
@@ -94,7 +92,7 @@ def trace_identity_check(a, w, trials: int, rng=None) -> TraceIdentityReport:
     none may exceed the analytic maximum.
     """
     a = check_matrix(a)
-    f = svd(a)
+    f = thin_svd(a)
     _, w = diag._check_instance(f.sigma, w)
     if np.any(w[1:] > w[:-1]):
         raise PreconditionError("trace identity requires non-ascending weights")

@@ -108,7 +108,7 @@ def test_criterion_5_candidate_dominance():
             else:
                 k = int(rng.integers(1, min(m, n) + 1))
                 c = rng.standard_normal((m, k)) @ rng.standard_normal((k, n))
-            if not r.objective <= objective_full(y, c, w) + 1e-6:
+            if not r.d.objective <= objective_full(y, c, w) + 1e-6:
                 ok = False
     report("solution dominates 500 random candidates per instance", ok)
 

@@ -30,6 +30,21 @@ class TestCsv:
         write_matrix_csv(path, m)
         np.testing.assert_array_equal(read_matrix_csv(path), m)
 
+    def test_writer_bytes_pinned(self, tmp_path):
+        # The shortest round-trip repr of every float, as the row-wise
+        # float() expression wrote it.
+        rng = np.random.default_rng(3)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                   1e-300, -1e-300, 1e16, 1 / 3, np.inf, -np.inf, np.nan]
+        scaled = rng.standard_normal(100_000) * 10.0 ** rng.integers(-308, 308, 100_000)
+        for m in [np.array(special).reshape(2, 7), scaled.reshape(250, 400),
+                  np.arange(6).reshape(2, 3), np.float32([[0.1, -2.5]]), np.array([1.5, 2.0])]:
+            path = tmp_path / "m.csv"
+            write_matrix_csv(path, m)
+            old = "".join(",".join(repr(float(x)) for x in row) + "\n"
+                          for row in np.atleast_2d(m))
+            assert path.read_text(encoding="ascii") == old
+
     def test_parse_error_reports_position(self, tmp_path):
         path = write_csv(tmp_path / "bad.csv", "1,2\n3,oops\n")
         from wnnm import InvalidInputError

@@ -164,6 +164,18 @@ class TestOracle:
         with pytest.raises(InvalidInputError, match="grid_step must be positive"):
             brute_force_oracle([3, 2], [4, 0], grid_step)
 
+    @pytest.mark.parametrize("grid_step", [1e-300, 1e-9])
+    def test_grid_too_fine(self, grid_step, monkeypatch):
+        # Without the cap, 1e-300 makes numpy raise ValueError and 1e-9
+        # asks for billions of points; a failing arange proves no grid is
+        # allocated either way.
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(np, "arange", no_grid)
+        with pytest.raises(InvalidInputError, match="grid points"):
+            brute_force_oracle([3, 2], [4, 0], grid_step)
+
     def test_result_is_feasible(self):
         rng = np.random.default_rng(8)
         for _ in range(50):

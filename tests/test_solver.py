@@ -39,8 +39,8 @@ class TestWnnmSolve:
     def test_diagonal_closed_form(self):
         r = wnnm_solve(np.diag([3.0, 1.0]), [1, 1])
         np.testing.assert_allclose(r.x_star, np.diag([2.5, 0.5]), atol=1e-12)
-        assert r.path is SolverPath.CLOSED_FORM
-        assert r.objective == pytest.approx(3.5)
+        assert r.d.path is SolverPath.CLOSED_FORM
+        assert r.d.objective == pytest.approx(3.5)
 
     def test_zero_input(self):
         r = wnnm_solve(np.zeros((4, 3)), [1, 1, 1])
@@ -49,11 +49,11 @@ class TestWnnmSolve:
     def test_descending_weights_take_pava_path(self):
         r = wnnm_solve(np.diag([3.0, 2.0]), [4, 0])
         np.testing.assert_allclose(r.x_star, np.diag([1.5, 1.5]), atol=1e-12)
-        assert r.path is SolverPath.PAVA
+        assert r.d.path is SolverPath.PAVA
         # Descending at the 1e-12 scale: the closed form would give the
         # infeasible d = [5e-13, 1e-12].
         r = wnnm_solve(np.diag([1e-12, 1e-12]), [1e-12, 0.0])
-        assert r.path is SolverPath.PAVA
+        assert r.d.path is SolverPath.PAVA
         np.testing.assert_allclose(r.d.d, [7.5e-13, 7.5e-13], rtol=1e-12)
 
     def test_infinite_weights_rejected_without_warning(self):
@@ -87,8 +87,8 @@ class TestWnnmSolve:
             w = rng.uniform(0, 2, size=4)
             p = random_orthogonal(rng, 5)
             q = random_orthogonal(rng, 4)
-            a = wnnm_solve(y, w).objective
-            b = wnnm_solve(p @ y @ q.T, w).objective
+            a = wnnm_solve(y, w).d.objective
+            b = wnnm_solve(p @ y @ q.T, w).d.objective
             assert abs(a - b) <= 1e-8
 
     def test_optimum_dominates_random_candidates(self):
@@ -107,7 +107,7 @@ class TestWnnmSolve:
                 else:
                     k = int(rng.integers(1, min(m, n) + 1))
                     c = rng.standard_normal((m, k)) @ rng.standard_normal((k, n))
-                assert r.objective <= objective_full(y, c, w) + 1e-6
+                assert r.d.objective <= objective_full(y, c, w) + 1e-6
 
 
     @pytest.mark.parametrize("shape", [(6, 4), (3, 7), (5, 5)])
@@ -124,9 +124,9 @@ class TestWnnmSolve:
             for w in (w_sorted, w_any):
                 r = wnnm_solve(y, w)
                 descends = np.any(np.diff(w) < 0)
-                assert r.path is (SolverPath.PAVA if descends else SolverPath.CLOSED_FORM)
+                assert r.d.path is (SolverPath.PAVA if descends else SolverPath.CLOSED_FORM)
                 full = objective_full(y, r.x_star, w)
-                assert abs(r.objective - full) <= 1e-12 * abs(full)
+                assert abs(r.d.objective - full) <= 1e-12 * abs(full)
 
 
 class TestNnmSolve:
