@@ -7,7 +7,6 @@ from .diag import (
     brute_force_oracle,
     closed_form,
     pava_solve,
-    project_monotone_nonneg,
     projgrad_reference,
 )
 from .exceptions import (
@@ -39,7 +38,6 @@ __all__ = [
     "nnm_solve",
     "objective_full",
     "pava_solve",
-    "project_monotone_nonneg",
     "projgrad_reference",
     "psnr",
     "read_pgm",

@@ -32,7 +32,6 @@ The weight scheme is a demo-only choice, not part of the solver contract.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,15 +39,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import diag
 from .exceptions import InvalidInputError
-from .linalg import reconstruct, thin_svd
-from .pgm import check_image
+from .linalg import check_matrix, reconstruct, thin_svd
 
 # Added to each estimated clean singular value so that a zero estimate
 # gives a huge but finite weight.
 EPSILON = 1e-16
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenoiseConfig:
     noise_sigma: float
     patch_size: int = 7
@@ -62,15 +60,9 @@ class DenoiseConfig:
         if not 0.0 < self.noise_sigma < math.inf:
             raise InvalidInputError("noise_sigma must be positive and finite")
         for name in ("patch_size", "group_size", "search_window", "stride"):
-            try:  # takes Python and numpy integers, but no float, not even 3.0
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise InvalidInputError(f"{name} must be an integer") from None
-        if self.patch_size < 1 or self.patch_size % 2 == 0:
-            raise InvalidInputError("patch_size must be an odd positive integer")
-        for name in ("group_size", "search_window", "stride"):
-            if getattr(self, name) < 1:
-                raise InvalidInputError(f"{name} must be a positive integer")
+            diag._positive_count(getattr(self, name), name)
+        if self.patch_size % 2 == 0:
+            raise InvalidInputError("patch_size must be odd")
         if not 0.0 < self.weight_constant < math.inf:
             raise InvalidInputError("weight_constant must be positive and finite")
 
@@ -176,7 +168,7 @@ def denoise(img, cfg: DenoiseConfig, stats: DenoiseStats | None = None) -> np.nd
     clamped to [0, 255].
     """
     p = cfg.patch_size
-    img = check_image(img)
+    img = check_matrix(img)
     h, w = img.shape
     if p > min(h, w):
         raise InvalidInputError(f"patch_size {p} exceeds image extent {h}x{w}")
@@ -225,8 +217,8 @@ def denoise(img, cfg: DenoiseConfig, stats: DenoiseStats | None = None) -> np.nd
 
 def psnr(a, b) -> float:
     """Peak signal-to-noise ratio in dB against a 255 peak; inf when equal."""
-    a = check_image(a)
-    b = check_image(b)
+    a = check_matrix(a)
+    b = check_matrix(b)
     if a.shape != b.shape:
         raise InvalidInputError(f"shape mismatch: {a.shape} vs {b.shape}")
     mse = float(np.mean((a - b) ** 2))

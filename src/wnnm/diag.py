@@ -17,6 +17,7 @@ grid search) validate the fast paths.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,14 +56,12 @@ def _as_vector(x, name: str) -> tuple[np.ndarray, float]:
 
 def _positive_count(x, name: str) -> int:
     """``x`` as an int >= 1, else ``InvalidInputError``."""
-    import operator  # here, so importing the package does no new work
-
     try:  # takes Python and numpy integers, but no float, not even 3.0
         x = operator.index(x)
     except TypeError:
         x = 0
     if x < 1:
-        raise InvalidInputError(f"{name} must be >= 1")
+        raise InvalidInputError(f"{name} must be an integer >= 1")
     return x
 
 
@@ -115,6 +114,9 @@ def _pool_blocks(block_sums, block_counts) -> tuple[np.ndarray, np.ndarray]:
 
 def project_monotone_nonneg(t) -> np.ndarray:
     """Euclidean projection onto {d : d_1 >= ... >= d_n >= 0}.
+
+    Unchecked: ``t`` must be a finite 1-D vector; ``pava_solve`` is the
+    checked entry.
 
     PAVA on blocks held as (sum, count), starting from one block per
     target; the block means are clamped at zero, then repeated. Two stages:

@@ -2,9 +2,11 @@
 
 Thin factors only (k = min(m, n) columns), singular values sorted
 non-increasing, the signs as LAPACK returns them: ``U diag(d) V^T`` does
-not depend on them. A stack of matrices (..., m, n) is factored matrix by
-matrix. Only ``svd`` checks its input; its core ``thin_svd`` serves callers
-that have checked theirs.
+not depend on them. ``check_matrix`` is the package's one check of a 2-D
+input, matrix or image. The public ``svd`` takes one matrix and checks it;
+its core ``thin_svd`` skips the check and also factors a stack
+(..., m, n) matrix by matrix, for callers that have checked their input.
+``reconstruct`` takes either.
 """
 
 from __future__ import annotations
@@ -33,11 +35,10 @@ class SvdFactors:
 
 
 def check_matrix(a) -> np.ndarray:
-    """Validate and return a nonempty float matrix, or stack of matrices
-    (..., m, n), with finite entries."""
+    """Validate and return a nonempty 2-D float array with finite entries."""
     a = np.asarray(a, dtype=float)
-    if a.ndim < 2 or a.size == 0:
-        raise InvalidInputError(f"expected a nonempty matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.size == 0:
+        raise InvalidInputError(f"expected a nonempty 2-D matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("matrix contains NaN or Inf entries")
     return a
@@ -49,9 +50,9 @@ def _mT(a: np.ndarray) -> np.ndarray:
 
 
 def thin_svd(y: np.ndarray) -> SvdFactors:
-    """``svd`` without its input check, for a float matrix or stack that
-    ``check_matrix`` accepts. A wide input is factored as its transpose,
-    the factors swapped back."""
+    """``svd`` without its input check, for a finite float matrix or stack
+    (..., m, n) of them. A wide input is factored as its transpose, the
+    factors swapped back."""
     transposed = y.shape[-2] < y.shape[-1]
     try:
         # Looked up per call, so a patched ``np.linalg.svd`` takes effect.
@@ -63,8 +64,7 @@ def thin_svd(y: np.ndarray) -> SvdFactors:
 
 
 def svd(y) -> SvdFactors:
-    """Thin SVD of a dense real matrix, or of each matrix in a stack
-    (..., m, n), with finite entries."""
+    """Thin SVD of one dense real matrix with finite entries."""
     return thin_svd(check_matrix(y))
 
 

@@ -7,16 +7,7 @@ import re
 import numpy as np
 
 from .exceptions import InvalidInputError
-
-
-def check_image(img) -> np.ndarray:
-    """The image as a float array, if it is nonempty, 2-D and finite."""
-    img = np.asarray(img, dtype=float)
-    if img.ndim != 2 or img.shape[0] < 1 or img.shape[1] < 1:
-        raise InvalidInputError(f"expected a nonempty 2-D image, got shape {img.shape}")
-    if not np.all(np.isfinite(img)):
-        raise InvalidInputError("image contains NaN or Inf")
-    return img
+from .linalg import check_matrix
 
 
 # The header grammar: "P5", width, height and maxval, each followed directly
@@ -53,7 +44,7 @@ def read_pgm(path) -> np.ndarray:
 def write_pgm(path, img) -> None:
     """Write a (height, width) array as binary PGM, rounding and clamping
     to [0, 255]."""
-    img = check_image(img)
+    img = check_matrix(img)
     h, w = img.shape
     raster = np.clip(np.rint(img), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:

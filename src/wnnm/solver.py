@@ -40,14 +40,13 @@ def shrink(factors: SvdFactors, w) -> WnnmResult:
     non-descending, PAVA otherwise. ``d.objective`` is the spectrum
     objective of ``d.d``. It equals the full objective at ``x_star``
     because ``x_star`` shares the singular vectors of the input;
-    ``objective_full`` is the independent check.
+    ``objective_full`` is the independent check. The solver that runs
+    checks the weights.
     """
     w = np.asarray(w, dtype=float)
-    if w.shape != factors.sigma.shape:
-        raise InvalidInputError(
-            f"weight vector has shape {w.shape}, expected {factors.sigma.shape}"
-        )
-    solve = diag.closed_form if diag.weights_non_descending(w) else diag.pava_solve
+    # A 0-d w cannot be indexed; pava_solve rejects it.
+    ordered = w.ndim == 1 and diag.weights_non_descending(w)
+    solve = diag.closed_form if ordered else diag.pava_solve
     sol = solve(factors.sigma, w)
     x_star = reconstruct(factors, sol.d)
     return WnnmResult(x_star=x_star, d=sol)
@@ -61,9 +60,6 @@ def wnnm_solve(y, w) -> WnnmResult:
 
 def nnm_solve(y, lam: float) -> WnnmResult:
     """Uniform-weight special case: soft-threshold the spectrum at lam/2."""
-    lam = float(lam)
-    if not np.isfinite(lam) or lam < 0.0:
-        raise InvalidInputError(f"lambda must be a nonnegative real, got {lam}")
     factors = svd(y)
     return shrink(factors, np.full(factors.sigma.size, lam))
 

@@ -1,0 +1,67 @@
+"""Every public function checks its input: one NaN input and one
+wrong-shape input each raise ``InvalidInputError``."""
+
+import inspect
+
+import numpy as np
+import pytest
+
+import wnnm
+
+NAN = float("nan")
+
+
+def with_nan(shape):
+    a = np.ones(shape)
+    a.flat[a.size // 2] = NAN
+    return a
+
+
+def bad_header(tmp_path):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P6\n2 1\n255\n\x05\x07\x09\x05\x07\x09")  # colour magic
+    return path
+
+
+CFG = wnnm.DenoiseConfig(noise_sigma=10.0, patch_size=3)
+
+# (public function, kind of bad input, call taking pytest's tmp_path)
+CASES = [
+    ("brute_force_oracle", "nan", lambda tmp: wnnm.brute_force_oracle([2.0, NAN], [0.0, 0.0], 0.5)),
+    ("brute_force_oracle", "shape", lambda tmp: wnnm.brute_force_oracle([2.0, 1.0], [0.0], 0.5)),
+    ("closed_form", "nan", lambda tmp: wnnm.closed_form([2.0, 1.0], [0.0, NAN])),
+    ("closed_form", "shape", lambda tmp: wnnm.closed_form([[2.0, 1.0]], [0.0, 1.0])),
+    ("denoise", "nan", lambda tmp: wnnm.denoise(with_nan((8, 8)), CFG)),
+    ("denoise", "shape", lambda tmp: wnnm.denoise(np.ones((8, 8, 1)), CFG)),
+    ("nnm_solve", "nan", lambda tmp: wnnm.nnm_solve(np.eye(3), NAN)),
+    ("nnm_solve", "shape", lambda tmp: wnnm.nnm_solve(np.ones(3), 1.0)),
+    ("objective_full", "nan", lambda tmp: wnnm.objective_full(with_nan((3, 2)), np.ones((3, 2)), [1.0, 1.0])),
+    ("objective_full", "shape", lambda tmp: wnnm.objective_full(np.ones((3, 2)), np.ones((2, 3)), [1.0, 1.0])),
+    ("pava_solve", "nan", lambda tmp: wnnm.pava_solve([NAN, 1.0], [0.0, 0.0])),
+    ("pava_solve", "shape", lambda tmp: wnnm.pava_solve([2.0, 1.0], [0.0, 0.0, 0.0])),
+    ("projgrad_reference", "nan", lambda tmp: wnnm.projgrad_reference([2.0, 1.0], [NAN, 0.0])),
+    ("projgrad_reference", "shape", lambda tmp: wnnm.projgrad_reference(2.0, 1.0)),
+    ("psnr", "nan", lambda tmp: wnnm.psnr(np.ones((4, 4)), with_nan((4, 4)))),
+    ("psnr", "shape", lambda tmp: wnnm.psnr(np.ones((4, 4)), np.ones((4, 5)))),
+    ("read_pgm", "header", lambda tmp: wnnm.read_pgm(bad_header(tmp))),
+    ("reconstruct", "shape", lambda tmp: wnnm.reconstruct(wnnm.svd(np.eye(2)), [1.0, 2.0, 3.0])),
+    ("svd", "nan", lambda tmp: wnnm.svd(with_nan((3, 2)))),
+    ("svd", "shape", lambda tmp: wnnm.svd(np.ones((2, 3, 2)))),
+    ("trace_identity_check", "nan", lambda tmp: wnnm.trace_identity_check(with_nan((3, 3)), [2.0, 1.0, 0.0], 1)),
+    ("trace_identity_check", "shape", lambda tmp: wnnm.trace_identity_check(np.eye(3), [2.0, 1.0], 1)),
+    ("wnnm_solve", "nan", lambda tmp: wnnm.wnnm_solve(np.eye(2), [1.0, NAN])),
+    ("wnnm_solve", "shape", lambda tmp: wnnm.wnnm_solve(np.eye(2), 1.0)),  # 0-d weights
+    ("write_pgm", "nan", lambda tmp: wnnm.write_pgm(tmp / "out.pgm", with_nan((4, 4)))),
+    ("write_pgm", "shape", lambda tmp: wnnm.write_pgm(tmp / "out.pgm", np.ones(4))),
+]
+
+
+def test_table_covers_every_public_function():
+    public = {name for name in wnnm.__all__ if inspect.isfunction(getattr(wnnm, name))}
+    assert {name for name, _, _ in CASES} == public
+
+
+@pytest.mark.parametrize("call", [c for _, _, c in CASES], ids=[f"{n}-{k}" for n, k, _ in CASES])
+def test_bad_input_rejected(call, tmp_path):
+    with pytest.raises(wnnm.InvalidInputError):
+        call(tmp_path)

@@ -1,10 +1,15 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wnnm
 import wnnm.diag
 import wnnm.solver
 from wnnm import DenoiseConfig, InvalidInputError, denoise, nnm_solve, read_pgm, write_pgm
@@ -342,3 +347,21 @@ def test_read_matrix_csv_parses_or_rejects_any_bytes(tmp_path_factory, data):
     except InvalidInputError:
         return
     assert m.ndim == 2 and m.size >= 1 and m.dtype == float
+
+
+def test_cli_import_adds_only_stdlib_modules():
+    # perfbench's setup_s times ``import wnnm.cli`` in a fresh process: past
+    # numpy, that import may load only the package and the standard library.
+    code = (
+        "import json, sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import wnnm.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(wnnm.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True)
+    added = json.loads(out.stdout)
+    assert "wnnm.cli" in added
+    foreign = [m for m in added if m.partition(".")[0] not in {"wnnm", *sys.stdlib_module_names}]
+    assert foreign == []

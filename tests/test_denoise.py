@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -39,6 +40,19 @@ class TestConfig:
     def test_invalid_rejected(self, kw):
         with pytest.raises(InvalidInputError):
             DenoiseConfig(**kw)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("stride", 0), ("search_window", -1), ("patch_size", 0), ("noise_sigma", float("nan"))],
+    )
+    def test_frozen_fields_and_replace_validates(self, name, value):
+        # Assigning a field would bypass the checks; replace runs them again.
+        c = DenoiseConfig(noise_sigma=10.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, name, value)
+        with pytest.raises(InvalidInputError):
+            dataclasses.replace(c, **{name: value})
+        assert dataclasses.replace(c, stride=1).stride == 1
 
 
 def patch_table(img, p):

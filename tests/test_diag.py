@@ -137,7 +137,7 @@ class TestProjGrad:
         for tol in (np.nan, np.inf):
             with pytest.raises(InvalidInputError, match="tol must be positive"):
                 projgrad_reference([1], [1], tol=tol)
-        with pytest.raises(InvalidInputError, match="max_iter must be >= 1"):
+        with pytest.raises(InvalidInputError, match="max_iter must be an integer >= 1"):
             projgrad_reference([1], [1], max_iter=2.5)
 
     def test_random_cross_agreement(self):

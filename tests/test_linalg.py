@@ -13,6 +13,7 @@ from wnnm import (
     svd,
     wnnm_solve,
 )
+from wnnm.linalg import thin_svd
 
 
 def gram_defect(m) -> float:
@@ -58,13 +59,15 @@ def test_svd_wide_matrix_thin_factors():
 
 
 def test_svd_stack_matches_per_matrix():
+    # The denoiser factors a stack of groups with the core; each matrix's
+    # factors must be the bits it would get alone.
     rng = np.random.default_rng(8)
     for shape in [(3, 2, 5, 4), (4, 3, 6)]:  # a stack of tall, and of wide matrices
         ys = rng.standard_normal(shape)
-        f = svd(ys)
+        f = thin_svd(ys)
         np.testing.assert_allclose(reconstruct(f, f.sigma), ys, atol=1e-12)
         for idx in np.ndindex(shape[:-2]):
-            g = svd(ys[idx])
+            g = thin_svd(ys[idx])
             np.testing.assert_array_equal(f.u[idx], g.u)
             np.testing.assert_array_equal(f.sigma[idx], g.sigma)
             np.testing.assert_array_equal(f.v[idx], g.v)
@@ -118,11 +121,11 @@ def test_results_do_not_depend_on_svd_signs(monkeypatch):
             assert_same_bits(a, b)
 
 
-def test_svd_stack_rejects_nonfinite():
-    ys = np.ones((3, 4, 2))
-    ys[2, 1, 0] = np.inf
-    with pytest.raises(InvalidInputError):
-        svd(ys)
+def test_svd_rejects_stack():
+    # The public svd takes one matrix; only the core thin_svd takes a stack.
+    for shape in [(3, 4, 2), (2, 1, 3, 3)]:
+        with pytest.raises(InvalidInputError, match="2-D"):
+            svd(np.ones(shape))
 
 
 def test_reconstruct_examples():

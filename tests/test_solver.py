@@ -183,5 +183,5 @@ class TestTraceIdentity:
     def test_trials_must_be_positive(self):
         with pytest.raises(InvalidInputError):
             trace_identity_check(np.eye(2), [1, 1], trials=0)
-        with pytest.raises(InvalidInputError, match="trials must be >= 1"):
+        with pytest.raises(InvalidInputError, match="trials must be an integer >= 1"):
             trace_identity_check(np.eye(2), [1, 1], trials=1.5)
