@@ -13,10 +13,9 @@ from .exceptions import (
     ConvergenceError,
     InvalidInputError,
     NumericalFailureError,
-    PreconditionError,
     WnnmError,
 )
-from .linalg import SvdFactors, reconstruct, svd
+from .linalg import SvdFactors, svd
 from .pgm import read_pgm, write_pgm
 from .solver import WnnmResult, nnm_solve, objective_full, trace_identity_check, wnnm_solve
 
@@ -27,7 +26,6 @@ __all__ = [
     "DiagSolution",
     "InvalidInputError",
     "NumericalFailureError",
-    "PreconditionError",
     "SolverPath",
     "SvdFactors",
     "WnnmError",
@@ -41,7 +39,6 @@ __all__ = [
     "projgrad_reference",
     "psnr",
     "read_pgm",
-    "reconstruct",
     "svd",
     "trace_identity_check",
     "wnnm_solve",

@@ -12,10 +12,10 @@ import sys
 import numpy as np
 
 from .denoise import DenoiseConfig, DenoiseStats, denoise, psnr
-from .exceptions import InvalidInputError, NumericalFailureError, PreconditionError, WnnmError
+from .exceptions import InvalidInputError, NumericalFailureError, WnnmError
 from .pgm import read_pgm, write_pgm
 from .selftest import run_selftest
-from .solver import wnnm_solve
+from .solver import nnm_solve, wnnm_solve
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -67,10 +67,9 @@ def write_matrix_csv(path, m: np.ndarray) -> None:
 def cmd_solve(args) -> int:
     y = read_matrix_csv(args.matrix)
     if args.weights is not None:
-        w = read_matrix_csv(args.weights).ravel()
+        result = wnnm_solve(y, read_matrix_csv(args.weights).ravel())
     else:
-        w = np.full(min(y.shape), args.lam)
-    result = wnnm_solve(y, w)
+        result = nnm_solve(y, args.lam)
     if not (np.isfinite(result.d.objective) and np.all(np.isfinite(result.x_star))):
         raise NumericalFailureError(f"non-finite result (objective {result.d.objective!r})")
     write_matrix_csv(args.out, result.x_star)
@@ -139,13 +138,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidInputError, PreconditionError, OSError) as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except WnnmError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -56,15 +56,14 @@ class DenoiseConfig:
     stride: int = 3
 
     def __post_init__(self):
-        # "not 0 < x < inf" also rejects NaN.
-        if not 0.0 < self.noise_sigma < math.inf:
-            raise InvalidInputError("noise_sigma must be positive and finite")
+        # The reals are stored as the floats they were checked as: an int past
+        # the C long range, or a Fraction, would reach numpy as it is.
+        for name in ("noise_sigma", "weight_constant"):
+            object.__setattr__(self, name, diag._positive_real(getattr(self, name), name))
         for name in ("patch_size", "group_size", "search_window", "stride"):
             diag._positive_count(getattr(self, name), name)
         if self.patch_size % 2 == 0:
             raise InvalidInputError("patch_size must be odd")
-        if not 0.0 < self.weight_constant < math.inf:
-            raise InvalidInputError("weight_constant must be positive and finite")
 
 
 @dataclass

@@ -17,12 +17,15 @@ grid search) validate the fast paths.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConvergenceError, InvalidInputError, PreconditionError
+from .exceptions import ConvergenceError, InvalidInputError
+from .linalg import check_array
 
 
 ORACLE_MAX_POINTS = 10**6  # brute_force_oracle's grid: n rows of this many floats
@@ -42,18 +45,6 @@ class DiagSolution:
     path: SolverPath
 
 
-def _as_vector(x, name: str) -> tuple[np.ndarray, float]:
-    """A finite float vector, and its minimum if negative (else 0.0)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise InvalidInputError(f"{name} must be a 1-D vector, got shape {x.shape}")
-    lo, hi = x.min(initial=0.0), x.max(initial=0.0)  # 0.0: an empty x passes
-    # -inf shows in the min, +inf in the max, and NaN in both, failing "<".
-    if not -np.inf < lo <= hi < np.inf:
-        raise InvalidInputError(f"{name} contains NaN or Inf")
-    return x, lo
-
-
 def _positive_count(x, name: str) -> int:
     """``x`` as an int >= 1, else ``InvalidInputError``."""
     try:  # takes Python and numpy integers, but no float, not even 3.0
@@ -65,24 +56,33 @@ def _positive_count(x, name: str) -> int:
     return x
 
 
+def _positive_real(x, name: str) -> float:
+    """``x`` as a float in (0, inf), else ``InvalidInputError``."""
+    try:  # takes Python and numpy reals, but no text, array or complex
+        x = float(x) if isinstance(x, numbers.Real) else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not 0.0 < x < math.inf:  # also rejects NaN
+        raise InvalidInputError(f"{name} must be positive and finite")
+    return x
+
+
 def weights_non_descending(w: np.ndarray) -> bool:
-    # Exact: weights out of order by any amount can make the closed form
-    # infeasible. A comparison, unlike a difference, raises no warning on
-    # infinite weights that validation has not yet rejected.
+    # Exact: weights out of order by any amount can make the closed form infeasible.
     return bool(np.all(w[1:] >= w[:-1]))
 
 
 def _check_instance(sigma, w) -> tuple[np.ndarray, np.ndarray]:
     """Validate one subproblem instance: a sorted nonnegative spectrum and
     one nonnegative weight per singular value."""
-    sigma, sigma_min = _as_vector(sigma, "sigma")
-    w, w_min = _as_vector(w, "weights")
+    sigma = check_array(sigma, 1, "sigma")
+    w = check_array(w, 1, "weights")
     if sigma.size != w.size:
         raise InvalidInputError(f"weight vector has length {w.size}, expected {sigma.size}")
-    if w_min < 0.0:
-        raise InvalidInputError(f"weights must be nonnegative, got min {w_min}")
-    if sigma_min < 0.0:
-        raise InvalidInputError(f"singular values must be nonnegative, got min {sigma_min}")
+    if w.min(initial=0.0) < 0.0:
+        raise InvalidInputError(f"weights must be nonnegative, got min {w.min()}")
+    if sigma.min(initial=0.0) < 0.0:
+        raise InvalidInputError(f"singular values must be nonnegative, got min {sigma.min()}")
     if (sigma[1:] > sigma[:-1]).any():
         raise InvalidInputError("singular values must be sorted non-increasing")
     return sigma, w
@@ -188,7 +188,7 @@ def closed_form(sigma, w) -> DiagSolution:
     """Closed-form optimum for non-descending weights: max(sigma - w/2, 0)."""
     sigma, w = _check_instance(sigma, w)
     if not weights_non_descending(w):
-        raise PreconditionError(
+        raise InvalidInputError(
             "closed_form requires non-descending weights; use pava_solve for arbitrary order"
         )
     return _solve(sigma, w, SolverPath.CLOSED_FORM)
@@ -208,8 +208,7 @@ def projgrad_reference(sigma, w, tol: float = 1e-10, max_iter: int = 10000) -> D
     iterate moves less than ``tol`` in max-norm.
     """
     sigma, w = _check_instance(sigma, w)
-    if not 0.0 < tol < np.inf:  # also rejects NaN
-        raise InvalidInputError("tol must be positive")
+    tol = _positive_real(tol, "tol")
     max_iter = _positive_count(max_iter, "max_iter")
     step = 0.25
     d = sigma.copy()
@@ -243,8 +242,7 @@ def brute_force_oracle(sigma, w, grid_step: float) -> DiagSolution:
     n = sigma.size
     if n > 4:
         raise InvalidInputError("brute_force_oracle is limited to n <= 4")
-    if not 0.0 < grid_step < np.inf:
-        raise InvalidInputError("grid_step must be positive")
+    grid_step = _positive_real(grid_step, "grid_step")
     if n == 0:
         return DiagSolution(d=np.empty(0), objective=0.0, path=SolverPath.BRUTE_FORCE)
 

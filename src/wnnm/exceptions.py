@@ -6,11 +6,8 @@ class WnnmError(Exception):
 
 
 class InvalidInputError(WnnmError):
-    """Malformed or inconsistent input (shape mismatch, NaN/Inf, negative weight)."""
-
-
-class PreconditionError(WnnmError):
-    """A documented precondition of the called operation does not hold."""
+    """Malformed or inconsistent input (shape mismatch, NaN/Inf, text, negative
+    weight), or an unmet documented precondition of the called operation."""
 
 
 class NumericalFailureError(WnnmError):

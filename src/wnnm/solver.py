@@ -13,8 +13,8 @@ import numpy as np
 
 from . import diag
 from .diag import DiagSolution
-from .exceptions import InvalidInputError, PreconditionError
-from .linalg import SvdFactors, check_matrix, reconstruct, svd, thin_svd
+from .exceptions import InvalidInputError
+from .linalg import SvdFactors, check_array, check_matrix, reconstruct, svd, thin_svd
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,11 @@ def shrink(factors: SvdFactors, w) -> WnnmResult:
     non-descending, PAVA otherwise. ``d.objective`` is the spectrum
     objective of ``d.d``. It equals the full objective at ``x_star``
     because ``x_star`` shares the singular vectors of the input;
-    ``objective_full`` is the independent check. The solver that runs
-    checks the weights.
+    ``objective_full`` is the independent check. The weights are checked
+    as a vector here, and against the spectrum by the solver that runs.
     """
-    w = np.asarray(w, dtype=float)
-    # A 0-d w cannot be indexed; pava_solve rejects it.
-    ordered = w.ndim == 1 and diag.weights_non_descending(w)
-    solve = diag.closed_form if ordered else diag.pava_solve
+    w = check_array(w, 1, "weights")
+    solve = diag.closed_form if diag.weights_non_descending(w) else diag.pava_solve
     sol = solve(factors.sigma, w)
     x_star = reconstruct(factors, sol.d)
     return WnnmResult(x_star=x_star, d=sol)
@@ -59,9 +57,10 @@ def wnnm_solve(y, w) -> WnnmResult:
 
 
 def nnm_solve(y, lam: float) -> WnnmResult:
-    """Uniform-weight special case: soft-threshold the spectrum at lam/2."""
+    """Uniform-weight special case: soft-threshold the spectrum at lam/2.
+    ``lam`` is one number, the weight of every singular value."""
     factors = svd(y)
-    return shrink(factors, np.full(factors.sigma.size, lam))
+    return shrink(factors, np.full(factors.sigma.size, check_array(lam, 0, "weights")))
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ def trace_identity_check(a, w, trials: int, rng=None) -> TraceIdentityReport:
     f = thin_svd(a)
     _, w = diag._check_instance(f.sigma, w)
     if np.any(w[1:] > w[:-1]):
-        raise PreconditionError("trace identity requires non-ascending weights")
+        raise InvalidInputError("trace identity requires non-ascending weights")
     trials = diag._positive_count(trials, "trials")
     rng = np.random.default_rng(rng)
 

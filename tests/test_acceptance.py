@@ -22,11 +22,11 @@ from wnnm import (
     pava_solve,
     projgrad_reference,
     psnr,
-    reconstruct,
     svd,
     trace_identity_check,
     wnnm_solve,
 )
+from wnnm.linalg import reconstruct
 
 
 def report(name, ok):

@@ -1,5 +1,6 @@
-"""Every public function checks its input: one NaN input and one
-wrong-shape input each raise ``InvalidInputError``."""
+"""Every public function, and ``DenoiseConfig``, checks its input: one
+NaN input, one wrong-shape input and, where it takes numbers, one text
+input each raise ``InvalidInputError``."""
 
 import inspect
 
@@ -25,40 +26,59 @@ def bad_header(tmp_path):
 
 CFG = wnnm.DenoiseConfig(noise_sigma=10.0, patch_size=3)
 
-# (public function, kind of bad input, call taking pytest's tmp_path)
+# (public name, kind of bad input, call taking pytest's tmp_path)
 CASES = [
     ("brute_force_oracle", "nan", lambda tmp: wnnm.brute_force_oracle([2.0, NAN], [0.0, 0.0], 0.5)),
     ("brute_force_oracle", "shape", lambda tmp: wnnm.brute_force_oracle([2.0, 1.0], [0.0], 0.5)),
+    ("brute_force_oracle", "text", lambda tmp: wnnm.brute_force_oracle([1.0], [1.0], grid_step="a")),
+    ("brute_force_oracle", "none", lambda tmp: wnnm.brute_force_oracle([1.0], [1.0], grid_step=None)),
     ("closed_form", "nan", lambda tmp: wnnm.closed_form([2.0, 1.0], [0.0, NAN])),
     ("closed_form", "shape", lambda tmp: wnnm.closed_form([[2.0, 1.0]], [0.0, 1.0])),
+    ("closed_form", "text", lambda tmp: wnnm.closed_form(["a"], [1.0])),
     ("denoise", "nan", lambda tmp: wnnm.denoise(with_nan((8, 8)), CFG)),
     ("denoise", "shape", lambda tmp: wnnm.denoise(np.ones((8, 8, 1)), CFG)),
+    ("denoise", "text", lambda tmp: wnnm.denoise([["a"]], CFG)),
+    ("DenoiseConfig", "nan", lambda tmp: wnnm.DenoiseConfig(noise_sigma=NAN)),
+    ("DenoiseConfig", "shape", lambda tmp: wnnm.DenoiseConfig(noise_sigma=np.array([1.0, 2.0]))),
+    ("DenoiseConfig", "text", lambda tmp: wnnm.DenoiseConfig(noise_sigma="a")),
     ("nnm_solve", "nan", lambda tmp: wnnm.nnm_solve(np.eye(3), NAN)),
     ("nnm_solve", "shape", lambda tmp: wnnm.nnm_solve(np.ones(3), 1.0)),
+    ("nnm_solve", "text", lambda tmp: wnnm.nnm_solve(np.eye(2), "a")),
     ("objective_full", "nan", lambda tmp: wnnm.objective_full(with_nan((3, 2)), np.ones((3, 2)), [1.0, 1.0])),
     ("objective_full", "shape", lambda tmp: wnnm.objective_full(np.ones((3, 2)), np.ones((2, 3)), [1.0, 1.0])),
+    ("objective_full", "text", lambda tmp: wnnm.objective_full(np.eye(2), np.eye(2), ["a", "b"])),
     ("pava_solve", "nan", lambda tmp: wnnm.pava_solve([NAN, 1.0], [0.0, 0.0])),
     ("pava_solve", "shape", lambda tmp: wnnm.pava_solve([2.0, 1.0], [0.0, 0.0, 0.0])),
+    ("pava_solve", "text", lambda tmp: wnnm.pava_solve([1.0, 2.0], ["x", "y"])),
     ("projgrad_reference", "nan", lambda tmp: wnnm.projgrad_reference([2.0, 1.0], [NAN, 0.0])),
     ("projgrad_reference", "shape", lambda tmp: wnnm.projgrad_reference(2.0, 1.0)),
+    ("projgrad_reference", "text", lambda tmp: wnnm.projgrad_reference([1.0], [1.0], tol="a")),
     ("psnr", "nan", lambda tmp: wnnm.psnr(np.ones((4, 4)), with_nan((4, 4)))),
     ("psnr", "shape", lambda tmp: wnnm.psnr(np.ones((4, 4)), np.ones((4, 5)))),
+    ("psnr", "text", lambda tmp: wnnm.psnr([["a"]], [[1.0]])),
     ("read_pgm", "header", lambda tmp: wnnm.read_pgm(bad_header(tmp))),
-    ("reconstruct", "shape", lambda tmp: wnnm.reconstruct(wnnm.svd(np.eye(2)), [1.0, 2.0, 3.0])),
     ("svd", "nan", lambda tmp: wnnm.svd(with_nan((3, 2)))),
     ("svd", "shape", lambda tmp: wnnm.svd(np.ones((2, 3, 2)))),
+    ("svd", "text", lambda tmp: wnnm.svd([["a"]])),
+    ("svd", "ragged", lambda tmp: wnnm.svd([[1.0, 2.0], [3.0]])),
     ("trace_identity_check", "nan", lambda tmp: wnnm.trace_identity_check(with_nan((3, 3)), [2.0, 1.0, 0.0], 1)),
     ("trace_identity_check", "shape", lambda tmp: wnnm.trace_identity_check(np.eye(3), [2.0, 1.0], 1)),
+    ("trace_identity_check", "text", lambda tmp: wnnm.trace_identity_check(np.eye(2), ["a", "b"], 1)),
     ("wnnm_solve", "nan", lambda tmp: wnnm.wnnm_solve(np.eye(2), [1.0, NAN])),
     ("wnnm_solve", "shape", lambda tmp: wnnm.wnnm_solve(np.eye(2), 1.0)),  # 0-d weights
+    ("wnnm_solve", "text", lambda tmp: wnnm.wnnm_solve(np.eye(2), ["a", "b"])),
     ("write_pgm", "nan", lambda tmp: wnnm.write_pgm(tmp / "out.pgm", with_nan((4, 4)))),
     ("write_pgm", "shape", lambda tmp: wnnm.write_pgm(tmp / "out.pgm", np.ones(4))),
+    ("write_pgm", "text", lambda tmp: wnnm.write_pgm(tmp / "out.pgm", [["a"]])),
 ]
 
 
 def test_table_covers_every_public_function():
     public = {name for name in wnnm.__all__ if inspect.isfunction(getattr(wnnm, name))}
-    assert {name for name, _, _ in CASES} == public
+    checked = public | {"DenoiseConfig"}
+    assert {name for name, _, _ in CASES} == checked
+    # All but read_pgm, which takes a path, take numbers.
+    assert {name for name, kind, _ in CASES if kind == "text"} == checked - {"read_pgm"}
 
 
 @pytest.mark.parametrize("call", [c for _, _, c in CASES], ids=[f"{n}-{k}" for n, k, _ in CASES])

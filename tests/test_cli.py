@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wnnm
+import wnnm.cli
 import wnnm.diag
 import wnnm.solver
 from wnnm import DenoiseConfig, InvalidInputError, denoise, nnm_solve, read_pgm, write_pgm
@@ -187,6 +188,29 @@ class TestSvdFailure:
         assert err == "numerical error: SVD did not converge\n"
 
 
+def error_classes(base=wnnm.WnnmError):
+    for sub in base.__subclasses__():
+        yield sub
+        yield from error_classes(sub)
+
+
+@pytest.mark.parametrize("error", list(error_classes()), ids=lambda error: error.__name__)
+def test_every_error_class_maps_to_its_exit_code(capsys, monkeypatch, error):
+    # The README's contract: bad input exits 2 with "error:", any other
+    # package error 3 with "numerical error:". ``__new__`` alone makes the
+    # instance, since ConvergenceError's ``__init__`` takes more than a message.
+    def raise_it(args):
+        raise error.__new__(error, "boom")
+
+    monkeypatch.setattr(wnnm.cli, "cmd_solve", raise_it)
+    code, stdout, err = run(capsys, "solve", "--matrix", "m.csv", "--lambda", "1", "--out", "x.csv")
+    if issubclass(error, InvalidInputError):
+        assert (code, err) == (2, "error: boom\n")
+    else:
+        assert (code, err) == (3, "numerical error: boom\n")
+    assert stdout == ""
+
+
 class TestDenoise:
     def test_tiny_sigma_near_identity(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
@@ -277,13 +301,15 @@ class TestDenoise:
 
 class TestSelftest:
     def test_default_passes(self, capsys):
-        code, stdout, _ = run(capsys, "selftest")
-        assert code == 0
-        assert stdout.count("PASS") == 5
-        for suite in (
-            "oracle-dominance", "cross-solver", "trace-identity", "nnm-equivalence", "kkt-certificate"
-        ):
-            assert f"{suite}: PASS (worst gap/bound " in stdout
+        for scale in ([], ["--scale", "full"]):
+            code, stdout, _ = run(capsys, "selftest", *scale)
+            assert code == 0
+            assert stdout.count("PASS") == 5 and stdout.endswith("5/5 suites passed\n")
+            for suite in (
+                "oracle-dominance", "cross-solver", "trace-identity", "nnm-equivalence",
+                "kkt-certificate",
+            ):
+                assert f"{suite}: PASS (worst gap/bound " in stdout
 
     def test_negative_seed_exit_2(self, capsys):
         code, stdout, err = run(capsys, "selftest", "--seed", "-1")

@@ -41,6 +41,13 @@ class TestConfig:
         with pytest.raises(InvalidInputError):
             DenoiseConfig(**kw)
 
+    def test_reals_stored_as_floats(self):
+        # As an int, 10**300 reached numpy past the C long range and overflowed.
+        c = DenoiseConfig(noise_sigma=10**300, patch_size=3, weight_constant=3)
+        assert (c.noise_sigma, c.weight_constant) == (1e300, 3.0)
+        assert type(c.noise_sigma) is type(c.weight_constant) is float
+        assert np.all(denoise(np.full((8, 8), 100.0), c) == 0.0)
+
     @pytest.mark.parametrize(
         "name, value",
         [("stride", 0), ("search_window", -1), ("patch_size", 0), ("noise_sigma", float("nan"))],

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from wnnm import (
     ConvergenceError,
     InvalidInputError,
-    PreconditionError,
     SolverPath,
     brute_force_oracle,
     closed_form,
@@ -36,10 +35,10 @@ class TestClosedForm:
         np.testing.assert_allclose(closed_form([5, 1], [0, 4]).d, [5.0, 0.0])
 
     def test_rejects_descending_weights(self):
-        with pytest.raises(PreconditionError, match="pava_solve"):
+        with pytest.raises(InvalidInputError, match="pava_solve"):
             closed_form([3, 2], [2, 1])
         # Out of order by far less than 1e-12: max(sigma - w/2, 0) would ascend.
-        with pytest.raises(PreconditionError, match="pava_solve"):
+        with pytest.raises(InvalidInputError, match="pava_solve"):
             closed_form([1, 1], [1, 1 - 1e-13])
 
     def test_path_tag(self):

@@ -9,11 +9,10 @@ from wnnm import (
     denoise,
     nnm_solve,
     objective_full,
-    reconstruct,
     svd,
     wnnm_solve,
 )
-from wnnm.linalg import thin_svd
+from wnnm.linalg import reconstruct, thin_svd
 
 
 def gram_defect(m) -> float:

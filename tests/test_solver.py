@@ -3,7 +3,6 @@ import pytest
 
 from wnnm import (
     InvalidInputError,
-    PreconditionError,
     SolverPath,
     nnm_solve,
     objective_full,
@@ -146,6 +145,12 @@ class TestNnmSolve:
         with pytest.raises(InvalidInputError):
             nnm_solve(np.eye(2), -1.0)
 
+    @pytest.mark.parametrize("lam", [[1.0, 2.0], [1.0, 2.0, 3.0]], ids=["as-long-as-sigma", "longer"])
+    def test_vector_lambda_rejected(self, lam):
+        # np.full would broadcast the first into non-uniform weights.
+        with pytest.raises(InvalidInputError, match="0-D"):
+            nnm_solve(np.eye(2), lam)
+
     def test_matches_numpy_soft_thresholding(self):
         rng = np.random.default_rng(16)
         for _ in range(100):
@@ -175,9 +180,9 @@ class TestTraceIdentity:
         assert rep.max_random_rhs <= rep.lhs + 1e-8
 
     def test_ascending_weights_rejected(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InvalidInputError):
             trace_identity_check(np.eye(2), [1, 2], trials=1)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InvalidInputError):
             trace_identity_check(np.eye(2), [1, 1 + 1e-13], trials=1)
 
     def test_trials_must_be_positive(self):
