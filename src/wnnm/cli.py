@@ -30,27 +30,24 @@ def read_matrix_csv(path) -> np.ndarray:
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{path}: not an ASCII text file: {exc}") from None
     rows = []
-    width = None
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
+        if rows and len(cells) != len(rows[0]):
             raise InvalidInputError(
-                f"{path}: line {lineno}: expected {width} columns, got {len(cells)}"
+                f"{path}: line {lineno}: expected {len(rows[0])} columns, got {len(cells)}"
             )
-        row = []
-        for colno, cell in enumerate(cells, start=1):
-            try:
-                row.append(float(cell))
-            except ValueError:
-                raise InvalidInputError(
-                    f"{path}: line {lineno}, column {colno}: not a number: {cell!r}"
-                ) from None
-        rows.append(row)
+        try:
+            rows.append(list(map(float, cells)))
+        except ValueError:  # only a line that fails looks for its bad cell
+            for colno, cell in enumerate(cells, start=1):
+                try:
+                    float(cell)
+                except ValueError:
+                    msg = f"{path}: line {lineno}, column {colno}: not a number: {cell!r}"
+                    raise InvalidInputError(msg) from None
     if not rows:
         raise InvalidInputError(f"{path}: empty matrix")
     return np.array(rows)

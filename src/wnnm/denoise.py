@@ -125,8 +125,7 @@ def extract_group(
     dist[c_idx == own[a_idx]] = -1.0  # the anchor first
     # a_idx is sorted already and stays in place.
     c_idx = c_idx[np.lexsort((c_idx, dist, a_idx))]
-    counts = np.bincount(a_idx, minlength=cols.size)
-    pos = np.arange(a_idx.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    pos = np.arange(a_idx.size) - np.searchsorted(a_idx, a_idx)  # rank within its anchor
     take = pos < sizes[a_idx]
     members = np.full((cols.size, sizes.max()), -1)
     members[a_idx[take], pos[take]] = r0 * n_cols + c_idx[take]
@@ -144,7 +143,6 @@ def group_weights(sigma, k, cfg: DenoiseConfig) -> np.ndarray:
     sqrt(max(s_i^2 - k * noise_sigma^2, 0)). A noise variance beyond the
     float range gives infinite weights, which shrink every group to zero.
     """
-    sigma = np.asarray(sigma, dtype=float)
     # A float product overflows to inf where ``**`` would raise.
     var = cfg.noise_sigma * cfg.noise_sigma
     s_clean = np.sqrt(np.maximum(sigma**2 - k * var, 0.0))

@@ -76,15 +76,13 @@ def _check_instance(sigma, w) -> tuple[np.ndarray, np.ndarray]:
     """Validate one subproblem instance: a sorted nonnegative spectrum and
     one nonnegative weight per singular value."""
     sigma = check_array(sigma, 1, "sigma")
-    w = check_array(w, 1, "weights")
+    w = check_array(w, 1, "weights", nonneg=True)
     if sigma.size != w.size:
         raise InvalidInputError(f"weight vector has length {w.size}, expected {sigma.size}")
-    if w.min(initial=0.0) < 0.0:
-        raise InvalidInputError(f"weights must be nonnegative, got min {w.min()}")
-    if sigma.min(initial=0.0) < 0.0:
-        raise InvalidInputError(f"singular values must be nonnegative, got min {sigma.min()}")
     if (sigma[1:] > sigma[:-1]).any():
         raise InvalidInputError("singular values must be sorted non-increasing")
+    if sigma.size and sigma[-1] < 0.0:  # sorted, so the last is the min
+        raise InvalidInputError(f"singular values must be nonnegative, got min {sigma[-1]}")
     return sigma, w
 
 

@@ -11,6 +11,7 @@ checked their input. It and ``reconstruct``, which takes either, are internal.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +35,16 @@ class SvdFactors:
     v: np.ndarray
 
 
-def check_array(a, ndim: int, name: str) -> np.ndarray:
-    """``a`` as a float array of rank ``ndim`` with finite entries, else
-    ``InvalidInputError``. A vector may be empty; a matrix may not."""
-    try:  # text and ragged lists fail here, not in numpy
-        a = np.asarray(a, dtype=float)
-    except (TypeError, ValueError):
+def check_array(a, ndim: int, name: str, nonneg: bool = False) -> np.ndarray:
+    """``a`` as a float array of rank ``ndim`` with finite entries (none negative if
+    ``nonneg``), else ``InvalidInputError``. Real dtypes: bool, integer, float, and
+    objects that are all ``numbers.Real``. A vector may be empty; a matrix may not."""
+    try:  # ragged lists fail in asarray, ints beyond the float range in astype
+        a = np.asarray(a)
+        if a.dtype == object and all(isinstance(x, numbers.Real) for x in a.flat):
+            a = a.astype(float)  # one float() per entry, as for a list of them
+        a = a.astype(float, casting="same_kind", copy=False)  # other dtypes: TypeError
+    except (TypeError, ValueError, OverflowError):
         raise InvalidInputError(f"{name} must be an array of real numbers") from None
     if a.ndim != ndim or (ndim == 2 and a.size == 0):
         shape = "a nonempty 2-D" if ndim == 2 else f"a {ndim}-D"
@@ -48,6 +53,8 @@ def check_array(a, ndim: int, name: str) -> np.ndarray:
     # -inf shows in the min, +inf in the max, and NaN in both, failing "<".
     if not -np.inf < lo <= hi < np.inf:
         raise InvalidInputError(f"{name} contains NaN or Inf")
+    if nonneg and lo < 0.0:
+        raise InvalidInputError(f"{name} must be nonnegative, got min {lo}")
     return a
 
 

@@ -1,6 +1,7 @@
 """Every public function, and ``DenoiseConfig``, checks its input: one
-NaN input, one wrong-shape input and, where it takes numbers, one text
-input each raise ``InvalidInputError``."""
+NaN input, one wrong-shape input and, where it takes numbers, one input of
+each kind that is not a real number (text, numeric text, complex, an int
+beyond the float range) each raise ``InvalidInputError``."""
 
 import inspect
 
@@ -25,51 +26,92 @@ def bad_header(tmp_path):
 
 
 CFG = wnnm.DenoiseConfig(noise_sigma=10.0, patch_size=3)
+HUGE = 10**400  # an int beyond the float range
+CPLX = np.array([2.0 + 1.0j, 1.0])  # a numpy complex array, not a list of Python complex
 
 # (public name, kind of bad input, call taking pytest's tmp_path)
 CASES = [
     ("brute_force_oracle", "nan", lambda tmp: wnnm.brute_force_oracle([2.0, NAN], [0.0, 0.0], 0.5)),
     ("brute_force_oracle", "shape", lambda tmp: wnnm.brute_force_oracle([2.0, 1.0], [0.0], 0.5)),
     ("brute_force_oracle", "text", lambda tmp: wnnm.brute_force_oracle([1.0], [1.0], grid_step="a")),
+    ("brute_force_oracle", "real-text", lambda tmp: wnnm.brute_force_oracle(["1.5"], [0.0], 0.5)),
+    ("brute_force_oracle", "complex", lambda tmp: wnnm.brute_force_oracle(CPLX, [0.0, 0.0], 0.5)),
+    ("brute_force_oracle", "huge-int", lambda tmp: wnnm.brute_force_oracle([HUGE], [0.0], 0.5)),
     ("brute_force_oracle", "none", lambda tmp: wnnm.brute_force_oracle([1.0], [1.0], grid_step=None)),
     ("closed_form", "nan", lambda tmp: wnnm.closed_form([2.0, 1.0], [0.0, NAN])),
     ("closed_form", "shape", lambda tmp: wnnm.closed_form([[2.0, 1.0]], [0.0, 1.0])),
     ("closed_form", "text", lambda tmp: wnnm.closed_form(["a"], [1.0])),
+    ("closed_form", "real-text", lambda tmp: wnnm.closed_form(["1.5"], [1.0])),
+    ("closed_form", "complex", lambda tmp: wnnm.closed_form(CPLX, [0.0, 1.0])),
+    ("closed_form", "huge-int", lambda tmp: wnnm.closed_form([1.0], [HUGE])),
     ("denoise", "nan", lambda tmp: wnnm.denoise(with_nan((8, 8)), CFG)),
     ("denoise", "shape", lambda tmp: wnnm.denoise(np.ones((8, 8, 1)), CFG)),
     ("denoise", "text", lambda tmp: wnnm.denoise([["a"]], CFG)),
+    ("denoise", "real-text", lambda tmp: wnnm.denoise(np.full((8, 8), "1.5"), CFG)),
+    ("denoise", "complex", lambda tmp: wnnm.denoise(np.full((8, 8), 1.0 + 1.0j), CFG)),
+    ("denoise", "huge-int", lambda tmp: wnnm.denoise([[HUGE] * 8] * 8, CFG)),
     ("DenoiseConfig", "nan", lambda tmp: wnnm.DenoiseConfig(noise_sigma=NAN)),
     ("DenoiseConfig", "shape", lambda tmp: wnnm.DenoiseConfig(noise_sigma=np.array([1.0, 2.0]))),
     ("DenoiseConfig", "text", lambda tmp: wnnm.DenoiseConfig(noise_sigma="a")),
+    ("DenoiseConfig", "real-text", lambda tmp: wnnm.DenoiseConfig(noise_sigma=1.0, weight_constant="1.5")),
+    ("DenoiseConfig", "complex", lambda tmp: wnnm.DenoiseConfig(noise_sigma=1.0 + 1.0j)),
+    ("DenoiseConfig", "huge-int", lambda tmp: wnnm.DenoiseConfig(noise_sigma=HUGE)),
     ("nnm_solve", "nan", lambda tmp: wnnm.nnm_solve(np.eye(3), NAN)),
     ("nnm_solve", "shape", lambda tmp: wnnm.nnm_solve(np.ones(3), 1.0)),
     ("nnm_solve", "text", lambda tmp: wnnm.nnm_solve(np.eye(2), "a")),
+    ("nnm_solve", "real-text", lambda tmp: wnnm.nnm_solve(np.eye(2), "1.5")),
+    ("nnm_solve", "complex", lambda tmp: wnnm.nnm_solve(np.eye(2), np.complex128(1.5 + 0.5j))),
+    ("nnm_solve", "huge-int", lambda tmp: wnnm.nnm_solve(np.eye(2), HUGE)),
     ("objective_full", "nan", lambda tmp: wnnm.objective_full(with_nan((3, 2)), np.ones((3, 2)), [1.0, 1.0])),
     ("objective_full", "shape", lambda tmp: wnnm.objective_full(np.ones((3, 2)), np.ones((2, 3)), [1.0, 1.0])),
     ("objective_full", "text", lambda tmp: wnnm.objective_full(np.eye(2), np.eye(2), ["a", "b"])),
+    ("objective_full", "real-text", lambda tmp: wnnm.objective_full(np.eye(2), np.full((2, 2), "1.5"), [1.0, 1.0])),
+    ("objective_full", "complex", lambda tmp: wnnm.objective_full(np.eye(2), np.eye(2), CPLX)),
+    ("objective_full", "huge-int", lambda tmp: wnnm.objective_full([[HUGE]], [[1.0]], [1.0])),
     ("pava_solve", "nan", lambda tmp: wnnm.pava_solve([NAN, 1.0], [0.0, 0.0])),
     ("pava_solve", "shape", lambda tmp: wnnm.pava_solve([2.0, 1.0], [0.0, 0.0, 0.0])),
     ("pava_solve", "text", lambda tmp: wnnm.pava_solve([1.0, 2.0], ["x", "y"])),
+    ("pava_solve", "real-text", lambda tmp: wnnm.pava_solve(["2"], ["1"])),
+    ("pava_solve", "complex", lambda tmp: wnnm.pava_solve([2.0, 1.0], CPLX)),
+    ("pava_solve", "huge-int", lambda tmp: wnnm.pava_solve([HUGE], [0.0])),
     ("projgrad_reference", "nan", lambda tmp: wnnm.projgrad_reference([2.0, 1.0], [NAN, 0.0])),
     ("projgrad_reference", "shape", lambda tmp: wnnm.projgrad_reference(2.0, 1.0)),
     ("projgrad_reference", "text", lambda tmp: wnnm.projgrad_reference([1.0], [1.0], tol="a")),
+    ("projgrad_reference", "real-text", lambda tmp: wnnm.projgrad_reference(["1.5"], [1.0])),
+    ("projgrad_reference", "complex", lambda tmp: wnnm.projgrad_reference(CPLX, [0.0, 0.0])),
+    ("projgrad_reference", "huge-int", lambda tmp: wnnm.projgrad_reference([1.0], [HUGE])),
     ("psnr", "nan", lambda tmp: wnnm.psnr(np.ones((4, 4)), with_nan((4, 4)))),
     ("psnr", "shape", lambda tmp: wnnm.psnr(np.ones((4, 4)), np.ones((4, 5)))),
     ("psnr", "text", lambda tmp: wnnm.psnr([["a"]], [[1.0]])),
+    ("psnr", "real-text", lambda tmp: wnnm.psnr(np.full((4, 4), "1.5"), np.ones((4, 4)))),
+    ("psnr", "complex", lambda tmp: wnnm.psnr(np.ones((4, 4)), np.full((4, 4), 1.0 + 1.0j))),
+    ("psnr", "huge-int", lambda tmp: wnnm.psnr([[HUGE]], [[1.0]])),
     ("read_pgm", "header", lambda tmp: wnnm.read_pgm(bad_header(tmp))),
     ("svd", "nan", lambda tmp: wnnm.svd(with_nan((3, 2)))),
     ("svd", "shape", lambda tmp: wnnm.svd(np.ones((2, 3, 2)))),
     ("svd", "text", lambda tmp: wnnm.svd([["a"]])),
+    ("svd", "real-text", lambda tmp: wnnm.svd([["1.5"]])),
+    ("svd", "complex", lambda tmp: wnnm.svd(np.array([[1.0 + 1.0j, 2.0]]))),
+    ("svd", "huge-int", lambda tmp: wnnm.svd([[HUGE]])),
     ("svd", "ragged", lambda tmp: wnnm.svd([[1.0, 2.0], [3.0]])),
     ("trace_identity_check", "nan", lambda tmp: wnnm.trace_identity_check(with_nan((3, 3)), [2.0, 1.0, 0.0], 1)),
     ("trace_identity_check", "shape", lambda tmp: wnnm.trace_identity_check(np.eye(3), [2.0, 1.0], 1)),
     ("trace_identity_check", "text", lambda tmp: wnnm.trace_identity_check(np.eye(2), ["a", "b"], 1)),
+    ("trace_identity_check", "real-text", lambda tmp: wnnm.trace_identity_check(np.eye(2), ["2", "1"], 1)),
+    ("trace_identity_check", "complex", lambda tmp: wnnm.trace_identity_check(np.eye(2), CPLX, 1)),
+    ("trace_identity_check", "huge-int", lambda tmp: wnnm.trace_identity_check([[HUGE]], [1.0], 1)),
     ("wnnm_solve", "nan", lambda tmp: wnnm.wnnm_solve(np.eye(2), [1.0, NAN])),
     ("wnnm_solve", "shape", lambda tmp: wnnm.wnnm_solve(np.eye(2), 1.0)),  # 0-d weights
     ("wnnm_solve", "text", lambda tmp: wnnm.wnnm_solve(np.eye(2), ["a", "b"])),
+    ("wnnm_solve", "real-text", lambda tmp: wnnm.wnnm_solve(np.eye(2), ["1", "2"])),
+    ("wnnm_solve", "complex", lambda tmp: wnnm.wnnm_solve(np.eye(2), CPLX)),
+    ("wnnm_solve", "huge-int", lambda tmp: wnnm.wnnm_solve(np.eye(2), [HUGE, 1.0])),
     ("write_pgm", "nan", lambda tmp: wnnm.write_pgm(tmp / "out.pgm", with_nan((4, 4)))),
     ("write_pgm", "shape", lambda tmp: wnnm.write_pgm(tmp / "out.pgm", np.ones(4))),
     ("write_pgm", "text", lambda tmp: wnnm.write_pgm(tmp / "out.pgm", [["a"]])),
+    ("write_pgm", "real-text", lambda tmp: wnnm.write_pgm(tmp / "out.pgm", [["1.5"]])),
+    ("write_pgm", "complex", lambda tmp: wnnm.write_pgm(tmp / "out.pgm", np.full((2, 2), 1.0 + 1.0j))),
+    ("write_pgm", "huge-int", lambda tmp: wnnm.write_pgm(tmp / "out.pgm", [[HUGE]])),
 ]
 
 
@@ -78,7 +120,8 @@ def test_table_covers_every_public_function():
     checked = public | {"DenoiseConfig"}
     assert {name for name, _, _ in CASES} == checked
     # All but read_pgm, which takes a path, take numbers.
-    assert {name for name, kind, _ in CASES if kind == "text"} == checked - {"read_pgm"}
+    for kind in ("text", "real-text", "complex", "huge-int"):
+        assert {name for name, k, _ in CASES if k == kind} == checked - {"read_pgm"}, kind
 
 
 @pytest.mark.parametrize("call", [c for _, _, c in CASES], ids=[f"{n}-{k}" for n, k, _ in CASES])

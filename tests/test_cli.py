@@ -58,6 +58,25 @@ class TestCsv:
         with pytest.raises(InvalidInputError, match="line 2, column 2"):
             read_matrix_csv(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("\n1,2\n x ,4\n", "line 3, column 1: not a number: 'x '"),
+        ("1,2,3\n4,,6\n", "line 2, column 2: not a number: ''"),
+        ("1,2\n3,4,5\n", "line 2: expected 2 columns, got 3"),
+    ])
+    def test_parse_error_message(self, tmp_path, text, message):
+        path = write_csv(tmp_path / "bad.csv", text)
+        from wnnm import InvalidInputError
+
+        with pytest.raises(InvalidInputError) as info:
+            read_matrix_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_cell_grammar(self, tmp_path):
+        # Anything float() takes: surrounding spaces, "_" between digits, inf, nan.
+        path = write_csv(tmp_path / "m.csv", " 1_0 , inf,-2.5e3\n\nnan,1,2\n")
+        m = read_matrix_csv(path)
+        np.testing.assert_array_equal(m, [[10.0, np.inf, -2500.0], [np.nan, 1.0, 2.0]])
+
 
 class TestSolve:
     def test_solve_with_weights(self, tmp_path, capsys):

@@ -44,6 +44,10 @@ class TestClosedForm:
     def test_path_tag(self):
         assert closed_form([1], [1]).path is SolverPath.CLOSED_FORM
 
+    def test_unsorted_spectrum_rejected(self):
+        with pytest.raises(InvalidInputError, match="sorted non-increasing"):
+            closed_form([1.0, 2.0], [0, 0])
+
 
 class TestPava:
     def test_no_violation_just_clamps(self):
@@ -58,8 +62,12 @@ class TestPava:
         np.testing.assert_allclose(pava_solve([0, 0], [5, 1]).d, [0.0, 0.0])
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"weights must be nonnegative, got min -0\.1$"):
             pava_solve([1.0], [-0.1])
+
+    def test_negative_spectrum_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"singular values must be nonnegative, got min -1\.0$"):
+            pava_solve([1.0, -1.0], [0, 0])
 
     def test_empty_instance(self):
         sol = pava_solve([], [])
@@ -153,6 +161,10 @@ class TestOracle:
         np.testing.assert_allclose(brute_force_oracle([3, 2], [4, 0], 0.01).d, [1.5, 1.5])
         np.testing.assert_allclose(brute_force_oracle([0], [1], 0.01).d, [0.0])
         np.testing.assert_allclose(brute_force_oracle([3, 1], [1, 3], 0.01).d, [2.5, 0.0])
+
+    def test_empty_instance(self):
+        sol = brute_force_oracle([], [], 0.5)
+        assert sol.d.size == 0 and sol.objective == 0.0 and sol.path is SolverPath.BRUTE_FORCE
 
     def test_refuses_large_instances(self):
         with pytest.raises(InvalidInputError):

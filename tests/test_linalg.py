@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from wnnm import (
     svd,
     wnnm_solve,
 )
-from wnnm.linalg import reconstruct, thin_svd
+from wnnm.linalg import check_array, reconstruct, thin_svd
 
 
 def gram_defect(m) -> float:
@@ -48,6 +50,38 @@ def test_svd_hand_computed_singular_values():
 def test_svd_rejects_nonfinite():
     with pytest.raises(InvalidInputError):
         svd(np.array([[1.0, np.nan]]))
+
+
+@pytest.mark.parametrize("a, expected", [
+    (np.array([[1.5, -2.0]]), [[1.5, -2.0]]),
+    (np.array([[3, -4]]), [[3.0, -4.0]]),
+    (np.array([[3, 255]], dtype=np.uint8), [[3.0, 255.0]]),
+    (np.array([[2**64 - 1]], dtype=np.uint64), [[float(2**64 - 1)]]),
+    (np.array([[True, False]]), [[1.0, 0.0]]),
+    (np.float32([[0.1]]), [[float(np.float32(0.1))]]),
+    ([[1, 2.5]], [[1.0, 2.5]]),
+    ([[np.float32(0.1), np.int8(-3)]], [[float(np.float32(0.1)), -3.0]]),
+    ([[2**70, 1]], [[float(2**70), 1.0]]),  # an object array of Python ints
+    ([[Fraction(1, 3)]], [[1 / 3]]),
+])
+def test_check_array_takes_real_dtypes(a, expected):
+    got = check_array(a, 2, "matrix")
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("a", [[[2**70, "1.5"]], [[2**70, None]], [[2**70, 1j]], [[2**70, 10**400]]])
+def test_check_array_rejects_objects_that_are_not_real(a):
+    # An object array converts only when every entry is a numbers.Real.
+    with pytest.raises(InvalidInputError, match="must be an array of real numbers"):
+        check_array(np.array(a, dtype=object), 2, "matrix")
+
+
+def test_check_array_scalars_and_copies():
+    assert check_array(np.float32(0.5), 0, "lam") == 0.5
+    assert check_array(True, 0, "lam") == 1.0
+    a = np.ones((2, 2))
+    assert check_array(a, 2, "matrix") is a  # a float64 array is not copied
 
 
 def test_svd_wide_matrix_thin_factors():
