@@ -78,14 +78,7 @@ def cmd_solve(args) -> int:
 
 def cmd_denoise(args) -> int:
     noisy = read_pgm(args.input)
-    cfg = DenoiseConfig(
-        noise_sigma=args.sigma,
-        patch_size=args.patch,
-        group_size=args.group,
-        search_window=args.window,
-        stride=args.stride,
-        weight_constant=args.c,
-    )
+    cfg = DenoiseConfig(**{f: getattr(args, f) for f in DenoiseConfig.__dataclass_fields__})
     stats = DenoiseStats()
     out = denoise(noisy, cfg, stats=stats)
     write_pgm(args.output, out)
@@ -112,13 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("denoise", help="denoise a binary PGM image")
     p.add_argument("--in", dest="input", required=True, help="input PGM (P5)")
     p.add_argument("--out", dest="output", required=True, help="output PGM")
-    p.add_argument("--sigma", type=float, required=True, help="noise standard deviation")
+    p.add_argument("--sigma", dest="noise_sigma", metavar="SIGMA", type=float, required=True,
+                   help="noise standard deviation")
     tuning = DenoiseConfig.__dataclass_fields__  # the one place each default is written
-    p.add_argument("--patch", type=int, default=tuning["patch_size"].default)
-    p.add_argument("--group", type=int, default=tuning["group_size"].default)
-    p.add_argument("--window", type=int, default=tuning["search_window"].default)
-    p.add_argument("--stride", type=int, default=tuning["stride"].default)
-    p.add_argument("--c", type=float, default=tuning["weight_constant"].default)
+    for flag, field in (("patch", "patch_size"), ("group", "group_size"),
+                        ("window", "search_window"), ("stride", "stride"), ("c", "weight_constant")):
+        default = tuning[field].default
+        p.add_argument(f"--{flag}", dest=field, metavar=flag.upper(), type=type(default),
+                       default=default)
     p.set_defaults(func=cmd_denoise)
 
     p = sub.add_parser("selftest", help="run the seeded verification suites")

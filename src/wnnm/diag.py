@@ -72,17 +72,22 @@ def weights_non_descending(w: np.ndarray) -> bool:
     return bool(np.all(w[1:] >= w[:-1]))
 
 
+def _check_weights(w, n: int) -> np.ndarray:
+    """The weights rule: a finite nonnegative real vector, one weight per
+    singular value of a spectrum of length ``n``."""
+    w = check_array(w, 1, "weights", nonneg=True)
+    if w.size != n:
+        raise InvalidInputError(f"weight vector has length {w.size}, expected {n}")
+    return w
+
+
 def _check_instance(sigma, w) -> tuple[np.ndarray, np.ndarray]:
     """Validate one subproblem instance: a sorted nonnegative spectrum and
-    one nonnegative weight per singular value."""
-    sigma = check_array(sigma, 1, "sigma")
-    w = check_array(w, 1, "weights", nonneg=True)
-    if sigma.size != w.size:
-        raise InvalidInputError(f"weight vector has length {w.size}, expected {sigma.size}")
+    its weights."""
+    sigma = check_array(sigma, 1, "singular values", nonneg=True)
+    w = _check_weights(w, sigma.size)
     if (sigma[1:] > sigma[:-1]).any():
         raise InvalidInputError("singular values must be sorted non-increasing")
-    if sigma.size and sigma[-1] < 0.0:  # sorted, so the last is the min
-        raise InvalidInputError(f"singular values must be nonnegative, got min {sigma[-1]}")
     return sigma, w
 
 

@@ -6,7 +6,8 @@ not depend on them. ``check_array`` checks an array of any rank, and
 ``check_matrix`` is its case for a matrix or image. The public ``svd``
 takes one matrix and checks it; its core ``thin_svd`` skips the check and
 also factors a stack (..., m, n) matrix by matrix, for callers that have
-checked their input. It and ``reconstruct``, which takes either, are internal.
+checked their input. It and ``reconstruct``, which takes either and checks
+nothing, are internal.
 """
 
 from __future__ import annotations
@@ -88,13 +89,8 @@ def svd(y) -> SvdFactors:
     return thin_svd(check_matrix(y))
 
 
-def reconstruct(f: SvdFactors, d) -> np.ndarray:
-    """Return ``u @ diag(d) @ v.T`` for a replacement spectrum ``d`` of the
-    same shape as ``f.sigma``; one batched product for a stack."""
-    d = np.asarray(d, dtype=float)
-    if d.shape != f.sigma.shape:
-        raise InvalidInputError(
-            f"spectrum shape {d.shape} does not match singular values {f.sigma.shape}"
-        )
+def reconstruct(f: SvdFactors, d: np.ndarray) -> np.ndarray:
+    """Return ``u @ diag(d) @ v.T`` for a replacement spectrum ``d``, a float
+    array shaped like ``f.sigma``; one batched product for a stack."""
     return (f.u * d[..., None, :]) @ _mT(f.v)
 

@@ -64,7 +64,7 @@ def trace_identity(rng, trials):
     """Trace form peaks at the SVD factors with value sum(sigma_i * w_i)."""
     a = random_matrix(rng)
     k = min(a.shape)
-    w = np.sort(rng.uniform(0.0, 3.0, size=k))[::-1].copy()
+    w = random_sigma(rng, k)
     rep = solver.trace_identity_check(a, w, trials=trials, rng=rng)
     # np.max, unlike Python's max, keeps a NaN in either place.
     gap = np.max([abs(rep.lhs - rep.rhs_at_svd), rep.max_random_rhs - rep.lhs])

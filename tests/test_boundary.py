@@ -25,6 +25,12 @@ def bad_header(tmp_path):
     return path
 
 
+def good_pgm(tmp_path):
+    path = tmp_path / "good.pgm"
+    path.write_bytes(b"P5\n2 1\n255\n\x05\x07")
+    return path
+
+
 CFG = wnnm.DenoiseConfig(noise_sigma=10.0, patch_size=3)
 HUGE = 10**400  # an int beyond the float range
 CPLX = np.array([2.0 + 1.0j, 1.0])  # a numpy complex array, not a list of Python complex
@@ -119,6 +125,7 @@ def test_table_covers_every_public_function():
     public = {name for name in wnnm.__all__ if inspect.isfunction(getattr(wnnm, name))}
     checked = public | {"DenoiseConfig"}
     assert {name for name, _, _ in CASES} == checked
+    assert {name for name, _, _ in CHECKS} == public
     # All but read_pgm, which takes a path, take numbers.
     for kind in ("text", "real-text", "complex", "huge-int"):
         assert {name for name, k, _ in CASES if k == kind} == checked - {"read_pgm"}, kind
@@ -128,3 +135,42 @@ def test_table_covers_every_public_function():
 def test_bad_input_rejected(call, tmp_path):
     with pytest.raises(wnnm.InvalidInputError):
         call(tmp_path)
+
+
+# Each outside value is checked once: the number of ``check_array`` calls that
+# one valid call of each public function makes. Values the package computes
+# (LAPACK's spectrum, the kernel's output) are not checked again.
+# (public name, expected calls, valid call taking pytest's tmp_path)
+CHECKS = [
+    ("brute_force_oracle", 2, lambda tmp: wnnm.brute_force_oracle([2.0, 1.0], [1.0, 0.0], 0.5)),
+    ("closed_form", 2, lambda tmp: wnnm.closed_form([2.0, 1.0], [0.0, 1.0])),
+    ("denoise", 1, lambda tmp: wnnm.denoise(np.ones((8, 8)), CFG)),
+    ("objective_full", 3, lambda tmp: wnnm.objective_full(np.eye(2), np.eye(2), [1.0, 1.0])),
+    ("pava_solve", 2, lambda tmp: wnnm.pava_solve([2.0, 1.0], [1.0, 0.0])),
+    ("projgrad_reference", 2, lambda tmp: wnnm.projgrad_reference([2.0, 1.0], [1.0, 0.0])),
+    ("psnr", 2, lambda tmp: wnnm.psnr(np.ones((4, 4)), np.zeros((4, 4)))),
+    ("read_pgm", 0, lambda tmp: wnnm.read_pgm(good_pgm(tmp))),
+    ("svd", 1, lambda tmp: wnnm.svd(np.eye(2))),
+    ("trace_identity_check", 2, lambda tmp: wnnm.trace_identity_check(np.eye(2), [2.0, 1.0], 1, rng=0)),
+    ("write_pgm", 1, lambda tmp: wnnm.write_pgm(tmp / "out.pgm", np.ones((2, 2)))),
+    # The known exception: ``shrink`` checks the weights, then dispatches to
+    # the public ``closed_form``/``pava_solve``, which check the spectrum and
+    # the weights again. It keeps that dispatch only because perfbench counts
+    # those calls; once ``shrink`` calls ``diag._solve``, these become 2 and 3.
+    ("wnnm_solve", 4, lambda tmp: wnnm.wnnm_solve(np.eye(2), [1.0, 0.0])),
+    ("nnm_solve", 5, lambda tmp: wnnm.nnm_solve(np.eye(2), 1.0)),
+]
+
+
+@pytest.mark.parametrize("expected, call", [c[1:] for c in CHECKS], ids=[c[0] for c in CHECKS])
+def test_each_outside_value_checked_once(expected, call, tmp_path, monkeypatch):
+    real, calls = wnnm.linalg.check_array, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])  # the name of the array checked
+        return real(*args, **kwargs)
+
+    for module in (wnnm.linalg, wnnm.diag, wnnm.solver):
+        monkeypatch.setattr(module, "check_array", counting)
+    call(tmp_path)
+    assert len(calls) == expected, calls

@@ -347,6 +347,20 @@ class TestSelftest:
         assert code == 1
         assert "oracle-dominance: FAIL" in stdout
 
+    def test_infeasible_spectrum_fails_kkt(self, capsys, monkeypatch):
+        # An ascending d is infeasible, so no KKT certificate applies. The
+        # other suites read only the objective, which stays.
+        real = wnnm.diag.pava_solve
+
+        def ascending(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            return dataclasses.replace(sol, d=sol.d[::-1])
+
+        monkeypatch.setattr(wnnm.diag, "pava_solve", ascending)
+        code, stdout, _ = run(capsys, "selftest")
+        assert code == 1
+        assert "kkt-certificate: FAIL (instance" in stdout and "kkt violation=inf" in stdout
+
     @pytest.mark.parametrize(
         "module, name, field, suite",
         [
