@@ -64,7 +64,11 @@ def write_matrix_csv(path, m: np.ndarray) -> None:
 def cmd_solve(args) -> int:
     y = read_matrix_csv(args.matrix)
     if args.weights is not None:
-        result = wnnm_solve(y, read_matrix_csv(args.weights).ravel())
+        w = read_matrix_csv(args.weights)
+        if min(w.shape) > 1:  # one weight per line is a column
+            msg = "%s: weights must be one row or one column, got shape %dx%d"
+            raise InvalidInputError(msg % (args.weights, *w.shape))
+        result = wnnm_solve(y, w.ravel())
     else:
         result = nnm_solve(y, args.lam)
     if not (np.isfinite(result.d.objective) and np.all(np.isfinite(result.x_star))):
@@ -97,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one WNNM/NNM instance from CSV files")
     p.add_argument("--matrix", required=True, help="input matrix CSV (no header)")
     grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--weights", help="one-line CSV of per-singular-value weights")
+    grp.add_argument("--weights", help="CSV of per-singular-value weights, one row or one per line")
     grp.add_argument("--lambda", dest="lam", type=float, help="uniform weight")
     p.add_argument("--out", required=True, help="output CSV for the solution matrix")
     p.set_defaults(func=cmd_solve)

@@ -39,7 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import diag
 from .exceptions import InvalidInputError
-from .linalg import check_matrix, reconstruct, thin_svd
+from .linalg import _positive_count, _positive_real, check_matrix, reconstruct, thin_svd
 
 # Added to each estimated clean singular value so that a zero estimate
 # gives a huge but finite weight.
@@ -56,12 +56,11 @@ class DenoiseConfig:
     stride: int = 3
 
     def __post_init__(self):
-        # The reals are stored as the floats they were checked as: an int past
-        # the C long range, or a Fraction, would reach numpy as it is.
+        # Each real is stored as the float it was checked as, not as a 0-D array or an int.
         for name in ("noise_sigma", "weight_constant"):
-            object.__setattr__(self, name, diag._positive_real(getattr(self, name), name))
+            object.__setattr__(self, name, _positive_real(getattr(self, name), name))
         for name in ("patch_size", "group_size", "search_window", "stride"):
-            diag._positive_count(getattr(self, name), name)
+            _positive_count(getattr(self, name), name)
         if self.patch_size % 2 == 0:
             raise InvalidInputError("patch_size must be odd")
 

@@ -17,15 +17,12 @@ grid search) validate the fast paths.
 from __future__ import annotations
 
 import enum
-import math
-import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ConvergenceError, InvalidInputError
-from .linalg import check_array
+from .linalg import _positive_count, _positive_real, check_array
 
 
 ORACLE_MAX_POINTS = 10**6  # brute_force_oracle's grid: n rows of this many floats
@@ -45,36 +42,13 @@ class DiagSolution:
     path: SolverPath
 
 
-def _positive_count(x, name: str) -> int:
-    """``x`` as an int >= 1, else ``InvalidInputError``."""
-    try:  # takes Python and numpy integers, but no float, not even 3.0
-        x = operator.index(x)
-    except TypeError:
-        x = 0
-    if x < 1:
-        raise InvalidInputError(f"{name} must be an integer >= 1")
-    return x
-
-
-def _positive_real(x, name: str) -> float:
-    """``x`` as a float in (0, inf), else ``InvalidInputError``."""
-    try:  # takes Python and numpy reals, but no text, array or complex
-        x = float(x) if isinstance(x, numbers.Real) else math.nan
-    except OverflowError:  # an int beyond the float range
-        x = math.inf
-    if not 0.0 < x < math.inf:  # also rejects NaN
-        raise InvalidInputError(f"{name} must be positive and finite")
-    return x
-
-
 def weights_non_descending(w: np.ndarray) -> bool:
     # Exact: weights out of order by any amount can make the closed form infeasible.
     return bool(np.all(w[1:] >= w[:-1]))
 
 
 def _check_weights(w, n: int) -> np.ndarray:
-    """The weights rule: a finite nonnegative real vector, one weight per
-    singular value of a spectrum of length ``n``."""
+    """The weights rule: one finite nonnegative real for each of ``n`` singular values."""
     w = check_array(w, 1, "weights", nonneg=True)
     if w.size != n:
         raise InvalidInputError(f"weight vector has length {w.size}, expected {n}")
@@ -82,8 +56,7 @@ def _check_weights(w, n: int) -> np.ndarray:
 
 
 def _check_instance(sigma, w) -> tuple[np.ndarray, np.ndarray]:
-    """Validate one subproblem instance: a sorted nonnegative spectrum and
-    its weights."""
+    """The spectrum rule: a sorted nonnegative spectrum, and its weights."""
     sigma = check_array(sigma, 1, "singular values", nonneg=True)
     w = _check_weights(w, sigma.size)
     if (sigma[1:] > sigma[:-1]).any():

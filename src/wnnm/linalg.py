@@ -1,18 +1,19 @@
-"""Dense thin SVD plus reconstruction, and the check of an outside array.
+"""The rules for an outside value, and dense thin SVD plus reconstruction.
 
-Thin factors only (k = min(m, n) columns), singular values sorted
-non-increasing, the signs as LAPACK returns them: ``U diag(d) V^T`` does
-not depend on them. ``check_array`` checks an array of any rank, and
-``check_matrix`` is its case for a matrix or image. The public ``svd``
-takes one matrix and checks it; its core ``thin_svd`` skips the check and
-also factors a stack (..., m, n) matrix by matrix, for callers that have
-checked their input. It and ``reconstruct``, which takes either and checks
-nothing, are internal.
+``check_array`` checks an array of any rank: ``check_matrix`` is its case
+for a matrix or image, ``_positive_real`` its 0-D case for a positive real.
+``_positive_count`` checks a count. Thin factors only (k = min(m, n)
+columns), singular values non-increasing, the signs as LAPACK returns them
+(``U diag(d) V^T`` does not depend on them). The public ``svd`` checks one
+matrix; its internal core ``thin_svd`` skips the check and also factors a
+stack (..., m, n), for callers that checked their input. The internal
+``reconstruct`` takes either and checks nothing.
 """
 
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +40,15 @@ class SvdFactors:
 def check_array(a, ndim: int, name: str, nonneg: bool = False) -> np.ndarray:
     """``a`` as a float array of rank ``ndim`` with finite entries (none negative if
     ``nonneg``), else ``InvalidInputError``. Real dtypes: bool, integer, float, and
-    objects that are all ``numbers.Real``. A vector may be empty; a matrix may not."""
+    objects that are all ``numbers.Real``. A scalar is 0-D; a vector may be empty, a matrix not."""
     try:  # ragged lists fail in asarray, ints beyond the float range in astype
         a = np.asarray(a)
         if a.dtype == object and all(isinstance(x, numbers.Real) for x in a.flat):
             a = a.astype(float)  # one float() per entry, as for a list of them
         a = a.astype(float, casting="same_kind", copy=False)  # other dtypes: TypeError
     except (TypeError, ValueError, OverflowError):
-        raise InvalidInputError(f"{name} must be an array of real numbers") from None
+        what = "a real number" if ndim == 0 else "an array of real numbers"
+        raise InvalidInputError(f"{name} must be {what}") from None
     if a.ndim != ndim or (ndim == 2 and a.size == 0):
         shape = "a nonempty 2-D" if ndim == 2 else f"a {ndim}-D"
         raise InvalidInputError(f"{name} must be {shape} array, got shape {a.shape}")
@@ -62,6 +64,25 @@ def check_array(a, ndim: int, name: str, nonneg: bool = False) -> np.ndarray:
 def check_matrix(a) -> np.ndarray:
     """A matrix or image: ``check_array``'s nonempty 2-D case."""
     return check_array(a, 2, "matrix")
+
+
+def _positive_real(x, name: str) -> float:
+    """``x`` as a float in (0, inf): ``check_array``'s 0-D case, above zero."""
+    x = float(check_array(x, 0, name))
+    if not x > 0.0:
+        raise InvalidInputError(f"{name} must be positive, got {x}")
+    return x
+
+
+def _positive_count(x, name: str) -> int:
+    """``x`` as an int >= 1, else ``InvalidInputError``."""
+    try:  # takes Python and numpy integers, but no float, not even 3.0
+        x = operator.index(x)
+    except TypeError:
+        x = 0
+    if x < 1:
+        raise InvalidInputError(f"{name} must be an integer >= 1")
+    return x
 
 
 def _mT(a: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 from . import diag
 from .diag import DiagSolution
 from .exceptions import InvalidInputError
-from .linalg import SvdFactors, check_array, check_matrix, reconstruct, svd, thin_svd
+from .linalg import SvdFactors, _positive_count, check_array, check_matrix, reconstruct, svd, thin_svd
 
 
 @dataclass(frozen=True)
@@ -37,16 +37,14 @@ def objective_full(y, x, w) -> float:
 def shrink(factors: SvdFactors, w) -> WnnmResult:
     """Apply the WNNM operator to the matrix whose thin SVD is ``factors``.
 
-    The weights choose the path: the closed form when they are
-    non-descending, PAVA otherwise. ``d.objective`` is the spectrum
-    objective of ``d.d``. It equals the full objective at ``x_star``
-    because ``x_star`` shares the singular vectors of the input;
-    ``objective_full`` is the independent check. The weights are checked
-    here. The public solver that runs checks them again only because
-    perfbench counts ``diag.closed_form``/``diag.pava_solve`` calls; once
-    it no longer does, ``solve(...)`` becomes ``diag._solve(...)``.
+    The weights, which have passed the weights rule, choose the path: the
+    closed form when non-descending, PAVA otherwise. ``d.objective``, the
+    spectrum objective of ``d.d``, equals the full objective at ``x_star``,
+    which shares the input's singular vectors; ``objective_full`` is the
+    independent check. The public solver that runs checks the weights again
+    only because perfbench counts ``diag.closed_form``/``diag.pava_solve``
+    calls; once it no longer does, ``solve(...)`` becomes ``diag._solve(...)``.
     """
-    w = diag._check_weights(w, factors.sigma.size)
     solve = diag.closed_form if diag.weights_non_descending(w) else diag.pava_solve
     sol = solve(factors.sigma, w)
     x_star = reconstruct(factors, sol.d)
@@ -56,14 +54,15 @@ def shrink(factors: SvdFactors, w) -> WnnmResult:
 def wnnm_solve(y, w) -> WnnmResult:
     """Globally optimal WNNM solution for one weight per singular value:
     the closed form for non-descending weights, PAVA for any other order."""
-    return shrink(svd(y), w)
+    factors = svd(y)
+    return shrink(factors, diag._check_weights(w, factors.sigma.size))
 
 
 def nnm_solve(y, lam: float) -> WnnmResult:
     """Uniform-weight special case: soft-threshold the spectrum at lam/2.
     ``lam`` is one number, the weight of every singular value."""
     factors = svd(y)
-    return shrink(factors, np.full(factors.sigma.size, check_array(lam, 0, "weights")))
+    return shrink(factors, np.full(factors.sigma.size, check_array(lam, 0, "weights", nonneg=True)))
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,11 @@ def trace_identity_check(a, w, trials: int, rng=None) -> TraceIdentityReport:
     w = diag._check_weights(w, f.sigma.size)
     if not diag.weights_non_descending(w[::-1]):
         raise InvalidInputError("trace identity requires non-ascending weights")
-    trials = diag._positive_count(trials, "trials")
-    rng = np.random.default_rng(rng)
+    trials = _positive_count(trials, "trials")
+    try:
+        rng = np.random.default_rng(rng)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"rng must be a seed or a numpy Generator: {exc}") from None
 
     k = f.sigma.size
     lhs = float(np.sum(f.sigma * w))

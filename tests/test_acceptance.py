@@ -4,6 +4,7 @@ Each test prints a single pass/fail line (visible with ``pytest -s`` or on
 failure). Tolerances are fixed here, not tuned at runtime.
 """
 
+import doctest
 import os
 import subprocess
 import sys
@@ -166,3 +167,11 @@ def test_criterion_9_selftest_determinism():
         and runs[0].stderr == runs[1].stderr
     )
     report("selftest output byte-identical across runs", ok)
+
+
+def test_criterion_10_readme_example_runs():
+    # The README's Library block is a doctest: a renamed field or a changed
+    # value fails here.
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    result = doctest.testfile(readme, module_relative=False)
+    report("README library example runs as printed", result.attempted > 0 and result.failed == 0)

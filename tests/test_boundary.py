@@ -1,9 +1,11 @@
 """Every public function, and ``DenoiseConfig``, checks its input: one
 NaN input, one wrong-shape input and, where it takes numbers, one input of
 each kind that is not a real number (text, numeric text, complex, an int
-beyond the float range) each raise ``InvalidInputError``."""
+beyond the float range) each raise ``InvalidInputError``. Every real
+parameter takes a 0-D array as its float and rejects each bad scalar."""
 
 import inspect
+import pickle
 
 import numpy as np
 import pytest
@@ -106,6 +108,9 @@ CASES = [
     ("trace_identity_check", "real-text", lambda tmp: wnnm.trace_identity_check(np.eye(2), ["2", "1"], 1)),
     ("trace_identity_check", "complex", lambda tmp: wnnm.trace_identity_check(np.eye(2), CPLX, 1)),
     ("trace_identity_check", "huge-int", lambda tmp: wnnm.trace_identity_check([[HUGE]], [1.0], 1)),
+    ("trace_identity_check", "seed-negative", lambda tmp: wnnm.trace_identity_check(np.eye(2), [2.0, 1.0], 1, rng=-1)),
+    ("trace_identity_check", "seed-text", lambda tmp: wnnm.trace_identity_check(np.eye(2), [2.0, 1.0], 1, rng="a")),
+    ("trace_identity_check", "seed-float", lambda tmp: wnnm.trace_identity_check(np.eye(2), [2.0, 1.0], 1, rng=1.5)),
     ("wnnm_solve", "nan", lambda tmp: wnnm.wnnm_solve(np.eye(2), [1.0, NAN])),
     ("wnnm_solve", "shape", lambda tmp: wnnm.wnnm_solve(np.eye(2), 1.0)),  # 0-d weights
     ("wnnm_solve", "text", lambda tmp: wnnm.wnnm_solve(np.eye(2), ["a", "b"])),
@@ -125,7 +130,7 @@ def test_table_covers_every_public_function():
     public = {name for name in wnnm.__all__ if inspect.isfunction(getattr(wnnm, name))}
     checked = public | {"DenoiseConfig"}
     assert {name for name, _, _ in CASES} == checked
-    assert {name for name, _, _ in CHECKS} == public
+    assert {name for name, _, _ in CHECKS} == checked
     # All but read_pgm, which takes a path, take numbers.
     for kind in ("text", "real-text", "complex", "huge-int"):
         assert {name for name, k, _ in CASES if k == kind} == checked - {"read_pgm"}, kind
@@ -138,27 +143,29 @@ def test_bad_input_rejected(call, tmp_path):
 
 
 # Each outside value is checked once: the number of ``check_array`` calls that
-# one valid call of each public function makes. Values the package computes
-# (LAPACK's spectrum, the kernel's output) are not checked again.
+# one valid call of each public function makes, a real's through
+# ``_positive_real``. Values the package computes (LAPACK's spectrum, the
+# kernel's output, ``nnm_solve``'s weight vector) are not checked again.
 # (public name, expected calls, valid call taking pytest's tmp_path)
 CHECKS = [
-    ("brute_force_oracle", 2, lambda tmp: wnnm.brute_force_oracle([2.0, 1.0], [1.0, 0.0], 0.5)),
+    ("brute_force_oracle", 3, lambda tmp: wnnm.brute_force_oracle([2.0, 1.0], [1.0, 0.0], 0.5)),
     ("closed_form", 2, lambda tmp: wnnm.closed_form([2.0, 1.0], [0.0, 1.0])),
     ("denoise", 1, lambda tmp: wnnm.denoise(np.ones((8, 8)), CFG)),
+    ("DenoiseConfig", 2, lambda tmp: wnnm.DenoiseConfig(noise_sigma=10.0)),
     ("objective_full", 3, lambda tmp: wnnm.objective_full(np.eye(2), np.eye(2), [1.0, 1.0])),
     ("pava_solve", 2, lambda tmp: wnnm.pava_solve([2.0, 1.0], [1.0, 0.0])),
-    ("projgrad_reference", 2, lambda tmp: wnnm.projgrad_reference([2.0, 1.0], [1.0, 0.0])),
+    ("projgrad_reference", 3, lambda tmp: wnnm.projgrad_reference([2.0, 1.0], [1.0, 0.0])),
     ("psnr", 2, lambda tmp: wnnm.psnr(np.ones((4, 4)), np.zeros((4, 4)))),
     ("read_pgm", 0, lambda tmp: wnnm.read_pgm(good_pgm(tmp))),
     ("svd", 1, lambda tmp: wnnm.svd(np.eye(2))),
     ("trace_identity_check", 2, lambda tmp: wnnm.trace_identity_check(np.eye(2), [2.0, 1.0], 1, rng=0)),
     ("write_pgm", 1, lambda tmp: wnnm.write_pgm(tmp / "out.pgm", np.ones((2, 2)))),
-    # The known exception: ``shrink`` checks the weights, then dispatches to
-    # the public ``closed_form``/``pava_solve``, which check the spectrum and
-    # the weights again. It keeps that dispatch only because perfbench counts
-    # those calls; once ``shrink`` calls ``diag._solve``, these become 2 and 3.
+    # The known exception: ``shrink`` dispatches the checked weights to the
+    # public ``closed_form``/``pava_solve``, which check the spectrum and the
+    # weights again. It keeps that dispatch only because perfbench counts
+    # those calls; once ``shrink`` calls ``diag._solve``, both become 2.
     ("wnnm_solve", 4, lambda tmp: wnnm.wnnm_solve(np.eye(2), [1.0, 0.0])),
-    ("nnm_solve", 5, lambda tmp: wnnm.nnm_solve(np.eye(2), 1.0)),
+    ("nnm_solve", 4, lambda tmp: wnnm.nnm_solve(np.eye(2), 1.0)),
 ]
 
 
@@ -174,3 +181,33 @@ def test_each_outside_value_checked_once(expected, call, tmp_path, monkeypatch):
         monkeypatch.setattr(module, "check_array", counting)
     call(tmp_path)
     assert len(calls) == expected, calls
+
+
+# Every real an export takes, as a call on that one value.
+REALS = [
+    ("nnm_solve-lam", lambda x: wnnm.nnm_solve(np.eye(2), x)),
+    ("projgrad_reference-tol", lambda x: wnnm.projgrad_reference([1.0], [0.5], tol=x)),
+    ("brute_force_oracle-grid_step", lambda x: wnnm.brute_force_oracle([3, 2], [4, 0], x)),
+    ("DenoiseConfig-noise_sigma", lambda x: wnnm.DenoiseConfig(noise_sigma=x)),
+    ("DenoiseConfig-weight_constant", lambda x: wnnm.DenoiseConfig(noise_sigma=1.0, weight_constant=x)),
+]
+BAD_REALS = {
+    "text": "a", "none": None, "complex": 1.0 + 1.0j, "huge-int": HUGE, "nan": NAN,
+    "inf": np.inf, "-inf": -np.inf, "zero": 0.0, "negative": -1.0, "vector": np.array([0.5]),
+}
+
+
+@pytest.mark.parametrize("call", [c for _, c in REALS], ids=[n for n, _ in REALS])
+def test_zero_d_array_passes_as_real(call):
+    # One dtype rule for every real: a 0-D array gives what its float gives,
+    # to the bit (a DenoiseConfig stores the float).
+    assert pickle.dumps(call(np.array(0.5))) == pickle.dumps(call(0.5))
+
+
+@pytest.mark.parametrize("kind", BAD_REALS)
+@pytest.mark.parametrize("name, call", REALS, ids=[n for n, _ in REALS])
+def test_bad_real_rejected(name, call, kind):
+    if (name, kind) == ("nnm_solve-lam", "zero"):
+        return  # a zero lambda is valid: nnm_solve is then the identity
+    with pytest.raises(wnnm.InvalidInputError):
+        call(BAD_REALS[kind])

@@ -107,6 +107,26 @@ class TestSolve:
         )
         assert code == 2 and "error" in err
 
+    def test_weights_grid_exit_2(self, tmp_path, capsys):
+        # Four weights for four singular values, but as a 2x2 grid: refused,
+        # not read row by row.
+        m = write_csv(tmp_path / "m.csv", "4,0,0,0\n0,3,0,0\n0,0,2,0\n0,0,0,1\n")
+        w = write_csv(tmp_path / "w.csv", "1,1\n1,1\n")
+        out = tmp_path / "x.csv"
+        code, _, err = run(capsys, "solve", "--matrix", m, "--weights", w, "--out", str(out))
+        assert code == 2 and err == f"error: {w}: weights must be one row or one column, got shape 2x2\n"
+        assert not out.exists()
+
+    def test_weights_one_per_line(self, tmp_path, capsys):
+        m = write_csv(tmp_path / "m.csv", "3,0\n0,1\n")
+        out_row, out_col = tmp_path / "row.csv", tmp_path / "col.csv"
+        w = write_csv(tmp_path / "w.csv", "4,0\n")
+        _, row_stdout, _ = run(capsys, "solve", "--matrix", m, "--weights", w, "--out", str(out_row))
+        w = write_csv(tmp_path / "w.csv", "4\n0\n")
+        code, stdout, _ = run(capsys, "solve", "--matrix", m, "--weights", w, "--out", str(out_col))
+        assert code == 0 and stdout == row_stdout and "path: pava" in stdout
+        assert out_col.read_bytes() == out_row.read_bytes()
+
     def test_parse_failure_exit_2(self, tmp_path, capsys):
         m = write_csv(tmp_path / "m.csv", "1,nope\n")
         code, _, err = run(
@@ -278,7 +298,8 @@ class TestDenoise:
         write_pgm(src, np.full((8, 8), 100.0))
         argv = ["denoise", "--in", str(src), "--out", str(dst), "--patch", "3", "--sigma", "10"]
         code, _, err = run(capsys, *argv, flag, value)
-        assert code == 2 and err.startswith("error: ") and "finite" in err
+        field = {"--sigma": "noise_sigma", "--c": "weight_constant"}[flag]
+        assert code == 2 and err == f"error: {field} contains NaN or Inf\n"
         assert not dst.exists()
 
     def test_huge_sigma_shrinks_to_zero(self, tmp_path, capsys):

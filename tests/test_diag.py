@@ -142,7 +142,7 @@ class TestProjGrad:
         with pytest.raises(InvalidInputError):
             projgrad_reference([1], [1], max_iter=0)
         for tol in (np.nan, np.inf):
-            with pytest.raises(InvalidInputError, match="tol must be positive"):
+            with pytest.raises(InvalidInputError, match="tol contains NaN or Inf"):
                 projgrad_reference([1], [1], tol=tol)
         with pytest.raises(InvalidInputError, match="max_iter must be an integer >= 1"):
             projgrad_reference([1], [1], max_iter=2.5)
@@ -172,7 +172,8 @@ class TestOracle:
 
     @pytest.mark.parametrize("grid_step", [0.0, -1.0, np.nan, np.inf])
     def test_bad_grid_step(self, grid_step):
-        with pytest.raises(InvalidInputError, match="grid_step must be positive"):
+        message = "must be positive" if np.isfinite(grid_step) else "contains NaN or Inf"
+        with pytest.raises(InvalidInputError, match=f"grid_step {message}"):
             brute_force_oracle([3, 2], [4, 0], grid_step)
 
     @pytest.mark.parametrize("grid_step", [1e-300, 1e-9])

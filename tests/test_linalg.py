@@ -77,6 +77,12 @@ def test_check_array_rejects_objects_that_are_not_real(a):
         check_array(np.array(a, dtype=object), 2, "matrix")
 
 
+@pytest.mark.parametrize("x", ["1.5", None, 1j, 10**400])
+def test_check_array_bad_scalar_message(x):
+    with pytest.raises(InvalidInputError, match="^tol must be a real number$"):
+        check_array(x, 0, "tol")
+
+
 def test_check_array_scalars_and_copies():
     assert check_array(np.float32(0.5), 0, "lam") == 0.5
     assert check_array(True, 0, "lam") == 1.0
