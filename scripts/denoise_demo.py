@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Generate a noisy stripe fixture, denoise it, and report PSNR, the wall
 time of the first (cold) and a second (warm) ``denoise`` call on the same
-input, and the peak resident set size of the process.
+input with the number of rows it runs at once (``WORKERS``), and the peak
+resident set size of the process.
 
 Writes clean/noisy/denoised PGMs next to the chosen output prefix so the
 result can be eyeballed.
@@ -14,6 +15,7 @@ import time
 import numpy as np
 
 from wnnm import DenoiseConfig, DenoiseStats, denoise, psnr, write_pgm
+from wnnm.denoise import WORKERS
 
 
 def main():
@@ -46,7 +48,8 @@ def main():
     print(f"groups processed: {stats.groups}, mean rank: {stats.mean_rank:.2f}")
     # ru_maxrss is in KiB on Linux.
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print(f"denoise wall time: {cold:.3f} s cold, {warm:.3f} s warm, peak RSS: {peak_mb:.1f} MB")
+    print(f"denoise wall time: {cold:.3f} s cold, {warm:.3f} s warm ({WORKERS} workers), "
+          f"peak RSS: {peak_mb:.1f} MB")
     print(f"PSNR noisy:    {psnr(noisy, clean):.3f} dB")
     print(f"PSNR denoised: {psnr(out, clean):.3f} dB")
 

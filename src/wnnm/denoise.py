@@ -26,12 +26,28 @@ everything is array code:
   it covers: one ``np.bincount`` per row for the sums and one for the
   counts, on flat pixel indices (top-left pixel plus patch offset).
 
+Rows in parallel. A row's groups need nothing from another row until the
+sums, so the rows run in batches of ``WORKERS``, one per CPU in the process's
+affinity mask: the caller takes the first row of a batch and a short-lived
+thread each of the others (LAPACK, BLAS and most numpy passes release the
+interpreter lock). Each thread sets its own numpy error state and keeps its
+exception for the caller. After the join the caller adds the rows' sums and
+ranks in row order, so the output bytes do not depend on ``WORKERS``. Two
+choices in ``extract_group`` let two rows share the CPUs: the Gram product
+is built in blocks small enough for OpenBLAS to run on the calling thread (a
+whole-row product, with BLAS at its default threads, woke a BLAS worker that
+kept spinning on the core the other row needed), and the K-th distance is
+partitioned a few anchors at a time, so no row in flight holds a full copy
+of its distances (with two rows, such copies passed 2.5 patch tables).
+
 The weight scheme is a demo-only choice, not part of the solver contract.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +60,13 @@ from .linalg import _positive_count, _positive_real, check_matrix, reconstruct, 
 # Added to each estimated clean singular value so that a zero estimate
 # gives a huge but finite weight.
 EPSILON = 1e-16
+# Rows denoised at once: one per CPU this process may run on.
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# OpenBLAS runs a gemm of at most 65536 * 4 multiply-adds (M * N * K) on one
+# thread (interface/gemm.c, GEMM_MULTITHREAD_THRESHOLD).
+GEMM_BLOCK = 2**18
+# Anchors whose K-th distance one np.partition call takes.
+PARTITION_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -102,13 +125,21 @@ def extract_group(
     k_max = min(cfg.group_size, cand.shape[0])
     sizes = np.minimum(k_max, (r1 - r0 + 1) * np.count_nonzero(in_cols, axis=1))
 
-    # In place: this (anchors, candidates) array is the row's working set.
-    fast = (-2.0 * anchors) @ cand.T
+    # In place: this (anchors, candidates) array is the row's working set,
+    # its product built in blocks of candidates (see the module docstring).
+    fast = np.empty((cols.size, cand.shape[0]))
+    scaled = -2.0 * anchors
+    step = max(1, GEMM_BLOCK // (cols.size * npix))
+    for j in range(0, cand.shape[0], step):
+        np.matmul(scaled, cand[j : j + step].T, out=fast[:, j : j + step])
     fast3 = fast.reshape(cols.size, -1, n_cols)
     fast3 += np.where(in_cols, a_norms[:, None], np.inf)[:, None, :]
     fast3 += cand_norms
     fast[np.arange(cols.size), own] = -np.inf
-    kth_fast = np.partition(fast, k_max - 1, axis=1)[:, k_max - 1]
+    kth_fast = np.empty(cols.size)
+    for i in range(0, cols.size, PARTITION_ROWS):
+        part = np.partition(fast[i : i + PARTITION_ROWS], k_max - 1, axis=1)
+        kth_fast[i : i + PARTITION_ROWS] = part[:, k_max - 1]
     # The Gram distance, (-2 a.b + |a|^2) + |b|^2 in that order, and the exact
     # distance below both round by about (npix + 2) * eps * (|a|^2 + |b|^2);
     # ``bound`` covers their gap, so no member lies beyond K-th + 2 * bound.
@@ -157,6 +188,30 @@ def _anchor_grid(extent: int, stride: int) -> list[int]:
     return grid
 
 
+def _run_rows(fn, rows: list[int]) -> list:
+    """``[fn(r) for r in rows]``: the first on this thread, each other on a
+    thread of its own. After every join, the first exception in row order
+    is raised."""
+    results = [None] * len(rows)
+
+    def run(i):
+        try:
+            results[i] = fn(rows[i])
+        except BaseException as exc:  # raised below, after the join
+            results[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(rows))]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    for res in results:
+        if isinstance(res, BaseException):
+            raise res
+    return results
+
+
 def denoise(img, cfg: DenoiseConfig, stats: DenoiseStats | None = None) -> np.ndarray:
     """One pass of patch-group WNNM shrinkage with mean aggregation.
 
@@ -177,13 +232,13 @@ def denoise(img, cfg: DenoiseConfig, stats: DenoiseStats | None = None) -> np.nd
     # Flat pixel index of each entry of a patch, relative to its top-left.
     offsets = (np.arange(p)[:, None] * w + np.arange(p)).ravel()
 
-    # Sum of every estimate of each pixel, and how many there were.
-    acc = np.zeros(h * w)
-    cnt = np.zeros(h * w)
-    # Entries near the float limit overflow the Gram expansion (its NaN stays
-    # shortlisted) and the squared spectrum (its infinities give zero weights).
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in _anchor_grid(rows, cfg.stride):
+    def row(r):
+        """Row ``r``'s estimates summed onto the pixels, their counts, and its
+        groups' ranks."""
+        # Entries near the float limit overflow the Gram expansion (its NaN stays
+        # shortlisted) and the squared spectrum (its infinities give zero weights).
+        # numpy's error state is per thread, so each row sets its own.
+        with np.errstate(over="ignore", invalid="ignore"):
             members = extract_group(table, sq_norms, r, anchor_cols, cfg)
             valid = members >= 0
             sizes = np.count_nonzero(valid, axis=1)
@@ -197,13 +252,24 @@ def denoise(img, cfg: DenoiseConfig, stats: DenoiseStats | None = None) -> np.nd
             estimates = np.swapaxes(reconstruct(factors, d), 1, 2)[valid]
             m = members[valid]
             pix = ((m // cols * w + m % cols)[:, None] + offsets).ravel()
-            acc += np.bincount(pix, weights=estimates.ravel(), minlength=h * w)
-            cnt += np.bincount(pix, minlength=h * w)
+            # numpy.linalg.matrix_rank's cut: values below it are rounding.
+            tol = np.maximum(p * p, sizes) * np.finfo(float).eps * factors.sigma[:, 0]
+            ranks = np.count_nonzero(d > tol[:, None], axis=1).tolist()
+        sums = np.bincount(pix, weights=estimates.ravel(), minlength=h * w)
+        return sums, np.bincount(pix, minlength=h * w), ranks
+
+    # Sum of every estimate of each pixel, and how many there were, added
+    # in row order whatever the number of rows in flight.
+    acc = np.zeros(h * w)
+    cnt = np.zeros(h * w)
+    grid = _anchor_grid(rows, cfg.stride)
+    for start in range(0, len(grid), WORKERS):
+        for sums, counts, ranks in _run_rows(row, grid[start : start + WORKERS]):
+            acc += sums
+            cnt += counts
             if stats is not None:
-                stats.groups += sizes.size
-                # numpy.linalg.matrix_rank's cut: values below it are rounding.
-                tol = np.maximum(p * p, sizes) * np.finfo(float).eps * factors.sigma[:, 0]
-                stats.ranks.extend(np.count_nonzero(d > tol[:, None], axis=1).tolist())
+                stats.groups += len(ranks)
+                stats.ranks.extend(ranks)
 
     out = img.flatten()
     covered = cnt > 0

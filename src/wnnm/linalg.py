@@ -57,7 +57,8 @@ def check_array(a, ndim: int, name: str, nonneg: bool = False) -> np.ndarray:
     if not -np.inf < lo <= hi < np.inf:
         raise InvalidInputError(f"{name} contains NaN or Inf")
     if nonneg and lo < 0.0:
-        raise InvalidInputError(f"{name} must be nonnegative, got min {lo}")
+        got = f"min {lo}" if a.ndim else lo
+        raise InvalidInputError(f"{name} must be nonnegative, got {got}")
     return a
 
 

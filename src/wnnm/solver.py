@@ -62,7 +62,7 @@ def nnm_solve(y, lam: float) -> WnnmResult:
     """Uniform-weight special case: soft-threshold the spectrum at lam/2.
     ``lam`` is one number, the weight of every singular value."""
     factors = svd(y)
-    return shrink(factors, np.full(factors.sigma.size, check_array(lam, 0, "weights", nonneg=True)))
+    return shrink(factors, np.full(factors.sigma.size, check_array(lam, 0, "lambda", nonneg=True)))
 
 
 @dataclass(frozen=True)

@@ -197,8 +197,17 @@ class TestSolve:
             weights = ["--weights", write_csv(tmp_path / "w.csv", weights[1] + "\n")]
         out = tmp_path / "x.csv"
         code, _, err = run(capsys, "solve", "--matrix", m, *weights, "--out", str(out))
-        assert code == 2 and err == "error: weights contains NaN or Inf\n"
+        assert code == 2 and err == f"error: {weights[0][2:]} contains NaN or Inf\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lam, message",
+        [("nan", "lambda contains NaN or Inf"), ("-1", "lambda must be nonnegative, got -1.0")],
+    )
+    def test_bad_lambda_names_lambda(self, tmp_path, capsys, lam, message):
+        m = write_csv(tmp_path / "m.csv", "1,2\n3,4\n")
+        code, _, err = run(capsys, "solve", "--matrix", m, "--lambda", lam, "--out", str(tmp_path / "x.csv"))
+        assert code == 2 and err == f"error: {message}\n"
 
 
 def fail_svd(*args, **kwargs):

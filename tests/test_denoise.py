@@ -1,12 +1,22 @@
 import dataclasses
+import importlib
+import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from wnnm import DenoiseConfig, DenoiseStats, InvalidInputError, denoise, psnr, svd
+from wnnm import (
+    DenoiseConfig, DenoiseStats, InvalidInputError, NumericalFailureError, denoise, psnr, svd, write_pgm
+)
+from wnnm.cli import main
 from wnnm.denoise import EPSILON, extract_group, group_weights
+
+# The module, not the function that the package exports under its name.
+denoise_module = importlib.import_module("wnnm.denoise")
 
 
 def cfg(**kw):
@@ -132,6 +142,17 @@ class TestMatcherAgainstNaive:
 
     @pytest.mark.parametrize("name", sorted(matcher_images()))
     def test_members_match_naive_sort(self, name):
+        self.check(name)
+
+    @pytest.mark.parametrize("name", sorted(matcher_images()))
+    def test_small_blocks_match_naive_sort(self, name, monkeypatch):
+        # These images fit one product block and one partition; here each
+        # candidate is a block of its own and two anchors share a partition.
+        monkeypatch.setattr(denoise_module, "GEMM_BLOCK", 1)
+        monkeypatch.setattr(denoise_module, "PARTITION_ROWS", 2)
+        self.check(name)
+
+    def check(self, name):
         img = matcher_images()[name]
         for p, k, sw in self.CONFIGS:
             c = cfg(patch_size=p, group_size=k, search_window=sw)
@@ -253,13 +274,19 @@ REFERENCE_CASES = [
 ]
 
 
+def reference_case(case):
+    """The image and config of one ``REFERENCE_CASES`` entry."""
+    seed, h, w, integer, sigma, p, k, sw, stride = case
+    rng = np.random.default_rng(seed)
+    img = rng.integers(0, 256, size=(h, w)) if integer else rng.uniform(0, 255, size=(h, w))
+    c = DenoiseConfig(noise_sigma=sigma, patch_size=p, group_size=k, search_window=sw, stride=stride)
+    return img, c
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize("case", REFERENCE_CASES)
     def test_matches_naive_reference(self, case):
-        seed, h, w, integer, sigma, p, k, sw, stride = case
-        rng = np.random.default_rng(seed)
-        img = rng.integers(0, 256, size=(h, w)) if integer else rng.uniform(0, 255, size=(h, w))
-        c = DenoiseConfig(noise_sigma=sigma, patch_size=p, group_size=k, search_window=sw, stride=stride)
+        img, c = reference_case(case)
         stats = DenoiseStats()
         out = denoise(img, c, stats=stats)
         ref, groups = reference_denoise(img.astype(float), c)
@@ -360,9 +387,11 @@ class TestDenoise:
             tracemalloc.stop()
         assert peak < 2.5 * table_bytes
 
-    def test_huge_finite_entries_warn_nothing(self):
+    def test_huge_finite_entries_warn_nothing(self, monkeypatch):
         # The Gram expansion and the squared spectrum overflow; under the
-        # suite's filterwarnings = error, a numpy warning would escape.
+        # suite's filterwarnings = error, a numpy warning would escape. Two
+        # workers: a thread starts with numpy's default error state.
+        monkeypatch.setattr(denoise_module, "WORKERS", 2)
         img = np.random.default_rng(10).uniform(1, 2, (16, 16)) * 1e200
         for c in (DenoiseConfig(noise_sigma=20.0), cfg()):
             np.testing.assert_array_equal(denoise(img, c), np.full((16, 16), 255.0))
@@ -370,6 +399,77 @@ class TestDenoise:
     def test_patch_too_large(self):
         with pytest.raises(InvalidInputError):
             denoise(np.zeros((4, 4)), DenoiseConfig(noise_sigma=5.0, patch_size=7))
+
+
+class TestRowPool:
+    """Rows run on ``WORKERS`` threads at once and are summed in row order."""
+
+    @staticmethod
+    def run(monkeypatch, workers, img, c):
+        monkeypatch.setattr(denoise_module, "WORKERS", workers)
+        stats = DenoiseStats()
+        return denoise(img, c, stats=stats), stats.ranks
+
+    def test_output_does_not_depend_on_workers(self, monkeypatch):
+        # Equal, not close: the sums are added in row order. A short switch
+        # interval makes the threads interleave often.
+        noisy = np.clip(128.0 + np.random.default_rng(12).normal(0.0, 20.0, (64, 64)), 0.0, 255.0)
+        cases = [reference_case(case) for case in REFERENCE_CASES]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for img, c in cases + [(noisy, DenoiseConfig(noise_sigma=20.0))]:
+                out, ranks = self.run(monkeypatch, 1, img, c)
+                for workers in (2, 3):
+                    other, other_ranks = self.run(monkeypatch, workers, img, c)
+                    np.testing.assert_array_equal(other, out)
+                    assert other_ranks == ranks
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_rows_run_on_threads(self, monkeypatch):
+        real, threads = denoise_module.thin_svd, set()
+
+        def recording_svd(y):
+            threads.add(threading.get_ident())
+            return real(y)
+
+        monkeypatch.setattr(denoise_module, "thin_svd", recording_svd)
+        self.run(monkeypatch, 3, np.zeros((16, 16)), cfg())
+        assert len(threads) >= 3  # the caller and two threads of a batch
+
+    @pytest.fixture
+    def second_svd_fails(self, monkeypatch):
+        # The second row to reach its SVD fails, on whichever thread runs it.
+        real, calls = denoise_module.thin_svd, itertools.count()
+
+        def failing_svd(y):
+            if next(calls) == 1:
+                raise NumericalFailureError("SVD did not converge")
+            return real(y)
+
+        monkeypatch.setattr(denoise_module, "thin_svd", failing_svd)
+        monkeypatch.setattr(denoise_module, "WORKERS", 2)
+        before = threading.active_count()
+        yield
+        assert threading.active_count() == before
+
+    def test_worker_error_raised_after_join(self, second_svd_fails):
+        with pytest.raises(NumericalFailureError, match="SVD did not converge"):
+            denoise(np.zeros((16, 16)), cfg())
+
+    def test_worker_error_exits_3_with_one_line(self, second_svd_fails, tmp_path, capsys):
+        src, dst = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        write_pgm(src, np.full((16, 16), 100.0))
+        code = main(["denoise", "--in", str(src), "--out", str(dst), "--sigma", "10", "--patch", "3"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and not dst.exists()
+        assert captured.err == "numerical error: SVD did not converge\n"
+
+    def test_threads_joined_after_success(self, monkeypatch):
+        before = threading.active_count()
+        self.run(monkeypatch, 3, np.zeros((16, 16)), cfg())
+        assert threading.active_count() == before
 
 
 class TestPsnr:

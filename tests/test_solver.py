@@ -142,7 +142,7 @@ class TestNnmSolve:
         np.testing.assert_allclose(nnm_solve(np.diag([1.0, 1.0]), 4.0).x_star, np.zeros((2, 2)))
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"^lambda must be nonnegative, got -1\.0$"):
             nnm_solve(np.eye(2), -1.0)
 
     @pytest.mark.parametrize("lam", [[1.0, 2.0], [1.0, 2.0, 3.0]], ids=["as-long-as-sigma", "longer"])
