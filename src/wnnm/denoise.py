@@ -28,10 +28,12 @@ everything is array code:
 
 Rows in parallel. A row's groups need nothing from another row until the
 sums, so the rows run in batches of ``WORKERS``, one per CPU in the process's
-affinity mask: the caller takes the first row of a batch and a short-lived
-thread each of the others (LAPACK, BLAS and most numpy passes release the
-interpreter lock). Each thread sets its own numpy error state and keeps its
-exception for the caller. After the join the caller adds the rows' sums and
+affinity mask up to ``MAX_WORKERS`` (two: each row in flight holds its own
+distances, so memory grows with the count, and only two were measured). The
+caller takes the first row of a batch and a short-lived thread each of the
+others (LAPACK, BLAS and most numpy passes release the interpreter lock).
+Each thread sets its own numpy error state and keeps its exception for the
+caller. After the join the caller adds the rows' sums and
 ranks in row order, so the output bytes do not depend on ``WORKERS``. Two
 choices in ``extract_group`` let two rows share the CPUs: the Gram product
 is built in blocks small enough for OpenBLAS to run on the calling thread (a
@@ -60,8 +62,16 @@ from .linalg import _positive_count, _positive_real, check_matrix, reconstruct, 
 # Added to each estimated clean singular value so that a zero estimate
 # gives a huge but finite weight.
 EPSILON = 1e-16
-# Rows denoised at once: one per CPU this process may run on.
-WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# Rows denoised at once: one per CPU this process may run on, at most
+# MAX_WORKERS. Each row in flight holds its own (anchors x window candidates)
+# distances, so the peak memory grows with the count (at 128^2 the traced
+# peak reads about 1.55, 1.99, 2.3 and 2.7 patch tables for 1 to 4 rows); speed
+# and memory were measured with two rows on two CPUs. The cap also bounds a
+# container whose CPU quota is below its affinity mask, which counts every
+# CPU of the host.
+MAX_WORKERS = 2
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+WORKERS = min(MAX_WORKERS, _CPUS)
 # OpenBLAS runs a gemm of at most 65536 * 4 multiply-adds (M * N * K) on one
 # thread (interface/gemm.c, GEMM_MULTITHREAD_THRESHOLD).
 GEMM_BLOCK = 2**18

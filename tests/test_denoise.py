@@ -78,6 +78,18 @@ def patch_table(img, p):
     return sliding_window_view(img, (p, p)).reshape(h - p + 1, w - p + 1, p * p)
 
 
+def peak_in_patch_tables():
+    """Traced peak of a default 128^2 ``denoise``, in patch tables."""
+    img = np.random.default_rng(9).uniform(0, 255, size=(128, 128))
+    tracemalloc.start()
+    try:
+        denoise(img, DenoiseConfig(noise_sigma=20.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / patch_table(img, 7).nbytes
+
+
 def group_matrix(table, members):
     return table.reshape(-1, table.shape[2])[members].T
 
@@ -376,16 +388,7 @@ class TestDenoise:
     def test_peak_memory_holds_one_patch_table(self):
         # The patch table is the one whole-image per-patch array; a second
         # one (per-patch sums, say) would double the peak.
-        rng = np.random.default_rng(9)
-        img = rng.uniform(0, 255, size=(128, 128))
-        table_bytes = patch_table(img, 7).nbytes
-        tracemalloc.start()
-        try:
-            denoise(img, DenoiseConfig(noise_sigma=20.0))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * table_bytes
+        assert peak_in_patch_tables() < 2.5
 
     def test_huge_finite_entries_warn_nothing(self, monkeypatch):
         # The Gram expansion and the squared spectrum overflow; under the
@@ -428,15 +431,24 @@ class TestRowPool:
             sys.setswitchinterval(interval)
 
     def test_rows_run_on_threads(self, monkeypatch):
+        # Thread objects, not idents: an exited thread's ident can be reused.
         real, threads = denoise_module.thin_svd, set()
 
         def recording_svd(y):
-            threads.add(threading.get_ident())
+            threads.add(threading.current_thread())
             return real(y)
 
         monkeypatch.setattr(denoise_module, "thin_svd", recording_svd)
         self.run(monkeypatch, 3, np.zeros((16, 16)), cfg())
         assert len(threads) >= 3  # the caller and two threads of a batch
+
+    def test_peak_memory_at_most_workers(self, monkeypatch):
+        # Each row in flight holds its own distances, so the peak grows with
+        # the rows in flight; at the most the module allows, whatever this
+        # machine's CPUs, it stays within the one-patch-table bound.
+        assert 1 <= denoise_module.WORKERS <= denoise_module.MAX_WORKERS
+        monkeypatch.setattr(denoise_module, "WORKERS", denoise_module.MAX_WORKERS)
+        assert peak_in_patch_tables() < 2.5
 
     @pytest.fixture
     def second_svd_fails(self, monkeypatch):
