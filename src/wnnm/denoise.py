@@ -100,8 +100,11 @@ class DenoiseConfig:
 
 @dataclass
 class DenoiseStats:
-    groups: int = 0
     ranks: list[int] = field(default_factory=list)
+
+    @property
+    def groups(self) -> int:
+        return len(self.ranks)
 
     @property
     def mean_rank(self) -> float:
@@ -278,7 +281,6 @@ def denoise(img, cfg: DenoiseConfig, stats: DenoiseStats | None = None) -> np.nd
             acc += sums
             cnt += counts
             if stats is not None:
-                stats.groups += len(ranks)
                 stats.ranks.extend(ranks)
 
     out = img.flatten()

@@ -2,8 +2,9 @@
 
 Each suite cross-checks one analytic claim against an independent route:
 PAVA vs grid oracle, PAVA vs projected gradient, nnm_solve vs direct
-soft-thresholding of numpy's SVD, the spectral trace identity, and the KKT
-certificate of the spectrum QP at sizes up to n = 20000.
+soft-thresholding of numpy's SVD (these two on matrices up to the scale's
+"shape"), the spectral trace identity, and the KKT certificate of the
+spectrum QP at sizes up to n = 20000.
 Each suite is a function that draws one instance and returns its gap, the
 bound on that gap and a detail; the one driver ``_suite`` runs it. A gap
 not <= its bound (NaN included) fails the suite with that detail; a pass
@@ -19,8 +20,8 @@ from . import diag, solver
 from .exceptions import InvalidInputError
 
 SCALE_COUNTS = {
-    "small": {"oracle": 25, "cross": 25, "trace": 10, "nnm": 20, "trace_trials": 100, "kkt": 10},
-    "full": {"oracle": 200, "cross": 200, "trace": 100, "nnm": 100, "trace_trials": 1000, "kkt": 100},
+    "small": {"oracle": 25, "cross": 25, "trace": 10, "nnm": 20, "kkt": 10, "shape": (6, 5)},
+    "full": {"oracle": 200, "cross": 200, "trace": 100, "nnm": 100, "kkt": 100, "shape": (200, 150)},
 }
 
 
@@ -28,7 +29,7 @@ def random_sigma(rng, n, top=3.0):
     return np.sort(rng.uniform(0.0, top, size=n))[::-1].copy()
 
 
-def random_matrix(rng, max_rows=6, max_cols=5):
+def random_matrix(rng, max_rows, max_cols):
     m = int(rng.integers(1, max_rows + 1))
     n = int(rng.integers(1, max_cols + 1))
     return rng.uniform(-1.0, 1.0, size=(m, n))
@@ -60,21 +61,24 @@ def cross_solver(rng):
     return abs(a - b), 1e-6, detail
 
 
-def trace_identity(rng, trials):
-    """Trace form peaks at the SVD factors with value sum(sigma_i * w_i)."""
-    a = random_matrix(rng)
+def trace_identity(rng, shape):
+    """Trace form peaks at the SVD factors with value sum(sigma_i * w_i),
+    and each turned pair of columns drops it by exactly its prediction."""
+    a = random_matrix(rng, *shape)
     k = min(a.shape)
     w = random_sigma(rng, k)
-    rep = solver.trace_identity_check(a, w, trials=trials, rng=rng)
+    rep = solver.trace_identity_check(a, w)
     # np.max, unlike Python's max, keeps a NaN in either place.
-    gap = np.max([abs(rep.lhs - rep.rhs_at_svd), rep.max_random_rhs - rep.lhs])
-    detail = f"lhs={_fmt(rep.lhs)} at_svd={_fmt(rep.rhs_at_svd)} max_random={_fmt(rep.max_random_rhs)}"
-    return gap, 1e-8, detail
+    gap = np.max([abs(rep.lhs - rep.rhs_at_svd), rep.max_probe_gap])
+    # U^T A V and the k-term weighted sums round by about k * eps * sigma_1 * max(w).
+    bound = 16.0 * k * np.finfo(float).eps * np.linalg.norm(a, 2) * w[0]
+    detail = f"lhs={_fmt(rep.lhs)} at_svd={_fmt(rep.rhs_at_svd)} max_probe_gap={_fmt(rep.max_probe_gap)}"
+    return gap, bound, detail
 
 
-def nnm_equivalence(rng):
+def nnm_equivalence(rng, shape):
     """nnm_solve matches soft-thresholding of numpy's own SVD at lam/2."""
-    y = random_matrix(rng)
+    y = random_matrix(rng, *shape)
     lam = float(rng.uniform(0.0, 2.0 * np.linalg.norm(y, 2)))
     u, s, vt = np.linalg.svd(y, full_matrices=False)
     ref = (u * np.maximum(s - lam / 2.0, 0.0)) @ vt
@@ -113,12 +117,12 @@ def kkt_certificate(rng):
     return violation, bound, f"n={n} kkt violation={_fmt(violation)} bound={_fmt(bound)}"
 
 
-def _suite(rng, count, draw) -> tuple[bool, str]:
-    """Check ``count`` instances of ``draw``. Returns whether all passed,
-    and the first failing instance or the worst gap/bound."""
+def _suite(rng, count, draw, *args) -> tuple[bool, str]:
+    """Check ``count`` instances of ``draw(rng, *args)``. Returns whether all
+    passed, and the first failing instance or the worst gap/bound."""
     worst = -np.inf
     for i in range(count):
-        gap, bound, detail = draw(rng)
+        gap, bound, detail = draw(rng, *args)
         if not gap <= bound:
             return False, f"instance {i}: {detail}"
         worst = max(worst, gap / bound)
@@ -134,13 +138,13 @@ def run_selftest(seed: int, scale: str) -> int:
     suites = [
         ("oracle-dominance", counts["oracle"], oracle_dominance),
         ("cross-solver", counts["cross"], cross_solver),
-        ("trace-identity", counts["trace"], lambda rng: trace_identity(rng, counts["trace_trials"])),
-        ("nnm-equivalence", counts["nnm"], nnm_equivalence),
+        ("trace-identity", counts["trace"], trace_identity, counts["shape"]),
+        ("nnm-equivalence", counts["nnm"], nnm_equivalence, counts["shape"]),
         ("kkt-certificate", counts["kkt"], kkt_certificate),
     ]
     failures = 0
-    for name, count, draw in suites:
-        passed, detail = _suite(rng, count, draw)
+    for name, count, draw, *args in suites:
+        passed, detail = _suite(rng, count, draw, *args)
         failures += not passed
         print(f"{name}: {'PASS' if passed else 'FAIL'} ({detail})")
     print(f"{len(suites) - failures}/{len(suites)} suites passed")

@@ -14,7 +14,7 @@ import numpy as np
 from . import diag
 from .diag import DiagSolution
 from .exceptions import InvalidInputError
-from .linalg import SvdFactors, _positive_count, check_array, check_matrix, reconstruct, svd, thin_svd
+from .linalg import SvdFactors, check_array, check_matrix, reconstruct, svd, thin_svd
 
 
 @dataclass(frozen=True)
@@ -69,44 +69,33 @@ def nnm_solve(y, lam: float) -> WnnmResult:
 class TraceIdentityReport:
     lhs: float
     rhs_at_svd: float
-    max_random_rhs: float
+    max_probe_gap: float
 
 
-def random_orthonormal(rng: np.random.Generator, rows: int, cols: int, count: int) -> np.ndarray:
-    """Stack of `count` matrices with orthonormal columns, Haar-corrected."""
-    g = rng.standard_normal((count, rows, cols))
-    q, r = np.linalg.qr(g)
-    signs = np.sign(np.einsum("bii->bi", r))
-    signs[signs == 0] = 1.0
-    return q * signs[:, None, :]
-
-
-def trace_identity_check(a, w, trials: int, rng=None) -> TraceIdentityReport:
+def trace_identity_check(a, w) -> TraceIdentityReport:
     """Check that tr[diag(w) U^T A V] over orthonormal (U, V) peaks at the
     SVD factors of A, where it equals sum_i sigma_i(A) * w_i.
 
-    Requires non-ascending w. Random orthonormal pairs probe the bound;
-    none may exceed the analytic maximum.
+    Requires non-ascending w. Turning columns i < j of both factors by
+    +-45 degrees moves only the (i, j) block of B = U^T A V, and at the peak
+    drops the trace by exactly (sigma_i - sigma_j)(w_i - w_j)/2 for either
+    sign; taking both keeps an off-diagonal error in B from cancelling a
+    diagonal one.
+    ``max_probe_gap`` is the largest distance of a drop from its prediction.
     """
     a = check_matrix(a)
     f = thin_svd(a)
     w = diag._check_weights(w, f.sigma.size)
     if not diag.weights_non_descending(w[::-1]):
         raise InvalidInputError("trace identity requires non-ascending weights")
-    trials = _positive_count(trials, "trials")
-    try:
-        rng = np.random.default_rng(rng)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"rng must be a seed or a numpy Generator: {exc}") from None
 
-    k = f.sigma.size
-    lhs = float(np.sum(f.sigma * w))
-    rhs_at_svd = float(np.trace((w[:, None] * f.u.T) @ a @ f.v))
-
-    us = random_orthonormal(rng, a.shape[0], k, trials)
-    vs = random_orthonormal(rng, a.shape[1], k, trials)
-    # tr[diag(w) U^T A V] batched over the trial axis.
-    traces = np.einsum("i,bji,jl,bli->b", w, us, a, vs)
+    b = f.u.T @ a @ f.v
+    i, j = np.triu_indices(f.sigma.size, 1)
+    half_dw = (w[i] - w[j]) / 2.0
+    drops = half_dw * (b[i, i] - b[j, j] + np.array([[-1.0], [1.0]]) * (b[i, j] + b[j, i]))
+    predicted = half_dw * (f.sigma[i] - f.sigma[j])
     return TraceIdentityReport(
-        lhs=lhs, rhs_at_svd=rhs_at_svd, max_random_rhs=float(traces.max())
+        lhs=float(np.sum(f.sigma * w)),
+        rhs_at_svd=float(np.sum(w * np.diag(b))),
+        max_probe_gap=float(np.max(np.abs(drops - predicted), initial=0.0)),
     )

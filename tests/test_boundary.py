@@ -102,15 +102,12 @@ CASES = [
     ("svd", "complex", lambda tmp: wnnm.svd(np.array([[1.0 + 1.0j, 2.0]]))),
     ("svd", "huge-int", lambda tmp: wnnm.svd([[HUGE]])),
     ("svd", "ragged", lambda tmp: wnnm.svd([[1.0, 2.0], [3.0]])),
-    ("trace_identity_check", "nan", lambda tmp: wnnm.trace_identity_check(with_nan((3, 3)), [2.0, 1.0, 0.0], 1)),
-    ("trace_identity_check", "shape", lambda tmp: wnnm.trace_identity_check(np.eye(3), [2.0, 1.0], 1)),
-    ("trace_identity_check", "text", lambda tmp: wnnm.trace_identity_check(np.eye(2), ["a", "b"], 1)),
-    ("trace_identity_check", "real-text", lambda tmp: wnnm.trace_identity_check(np.eye(2), ["2", "1"], 1)),
-    ("trace_identity_check", "complex", lambda tmp: wnnm.trace_identity_check(np.eye(2), CPLX, 1)),
-    ("trace_identity_check", "huge-int", lambda tmp: wnnm.trace_identity_check([[HUGE]], [1.0], 1)),
-    ("trace_identity_check", "seed-negative", lambda tmp: wnnm.trace_identity_check(np.eye(2), [2.0, 1.0], 1, rng=-1)),
-    ("trace_identity_check", "seed-text", lambda tmp: wnnm.trace_identity_check(np.eye(2), [2.0, 1.0], 1, rng="a")),
-    ("trace_identity_check", "seed-float", lambda tmp: wnnm.trace_identity_check(np.eye(2), [2.0, 1.0], 1, rng=1.5)),
+    ("trace_identity_check", "nan", lambda tmp: wnnm.trace_identity_check(with_nan((3, 3)), [2.0, 1.0, 0.0])),
+    ("trace_identity_check", "shape", lambda tmp: wnnm.trace_identity_check(np.eye(3), [2.0, 1.0])),
+    ("trace_identity_check", "text", lambda tmp: wnnm.trace_identity_check(np.eye(2), ["a", "b"])),
+    ("trace_identity_check", "real-text", lambda tmp: wnnm.trace_identity_check(np.eye(2), ["2", "1"])),
+    ("trace_identity_check", "complex", lambda tmp: wnnm.trace_identity_check(np.eye(2), CPLX)),
+    ("trace_identity_check", "huge-int", lambda tmp: wnnm.trace_identity_check([[HUGE]], [1.0])),
     ("wnnm_solve", "nan", lambda tmp: wnnm.wnnm_solve(np.eye(2), [1.0, NAN])),
     ("wnnm_solve", "shape", lambda tmp: wnnm.wnnm_solve(np.eye(2), 1.0)),  # 0-d weights
     ("wnnm_solve", "text", lambda tmp: wnnm.wnnm_solve(np.eye(2), ["a", "b"])),
@@ -158,7 +155,7 @@ CHECKS = [
     ("psnr", 2, lambda tmp: wnnm.psnr(np.ones((4, 4)), np.zeros((4, 4)))),
     ("read_pgm", 0, lambda tmp: wnnm.read_pgm(good_pgm(tmp))),
     ("svd", 1, lambda tmp: wnnm.svd(np.eye(2))),
-    ("trace_identity_check", 2, lambda tmp: wnnm.trace_identity_check(np.eye(2), [2.0, 1.0], 1, rng=0)),
+    ("trace_identity_check", 2, lambda tmp: wnnm.trace_identity_check(np.eye(2), [2.0, 1.0])),
     ("write_pgm", 1, lambda tmp: wnnm.write_pgm(tmp / "out.pgm", np.ones((2, 2)))),
     # The known exception: ``shrink`` dispatches the checked weights to the
     # public ``closed_form``/``pava_solve``, which check the spectrum and the

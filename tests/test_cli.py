@@ -395,7 +395,7 @@ class TestSelftest:
         "module, name, field, suite",
         [
             (wnnm.diag, "pava_solve", "objective", "cross-solver"),
-            (wnnm.solver, "trace_identity_check", "max_random_rhs", "trace-identity"),
+            (wnnm.solver, "trace_identity_check", "max_probe_gap", "trace-identity"),
         ],
         ids=["cross-solver", "trace-identity"],
     )

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import wnnm
 from wnnm import (
     InvalidInputError,
     SolverPath,
@@ -161,32 +164,95 @@ class TestNnmSolve:
             np.testing.assert_allclose(nnm_solve(y, lam).x_star, ref, atol=1e-10)
 
 
+def probe_bound(a, w):
+    """The trace-identity suite's rounding bound, 16 k eps sigma_1 max(w)."""
+    return 16.0 * min(a.shape) * np.finfo(float).eps * np.linalg.norm(a, 2) * max(w)
+
+
+def random_instance(rng, shape):
+    a = rng.uniform(-1.0, 1.0, size=shape)
+    return a, np.sort(rng.uniform(0.0, 3.0, size=min(shape)))[::-1].copy()
+
+
+def turn(m, i, j, theta):
+    """``m`` with columns i and j turned by ``theta`` radians."""
+    m = m.copy()
+    c, s = np.cos(theta), np.sin(theta)
+    mi, mj = m[:, i].copy(), m[:, j].copy()
+    m[:, i], m[:, j] = c * mi + s * mj, c * mj - s * mi
+    return m
+
+
+def patch_factors(monkeypatch, change):
+    """Make ``trace_identity_check`` see ``change(factors)`` for the SVD."""
+    real = wnnm.solver.thin_svd
+    monkeypatch.setattr(wnnm.solver, "thin_svd", lambda a: change(real(a)))
+
+
 class TestTraceIdentity:
     def test_diagonal_case(self):
-        rep = trace_identity_check(np.diag([2.0, 1.0]), [3, 1], trials=10, rng=0)
+        rep = trace_identity_check(np.diag([2.0, 1.0]), [3, 1])
         assert rep.lhs == pytest.approx(7.0)
         assert rep.rhs_at_svd == pytest.approx(7.0)
+        assert rep.max_probe_gap <= 1e-12
 
     def test_zero_matrix(self):
-        rep = trace_identity_check(np.zeros((3, 2)), [1, 0], trials=10, rng=0)
-        assert rep.lhs == 0.0 and rep.rhs_at_svd == 0.0
-        assert abs(rep.max_random_rhs) <= 1e-12
+        rep = trace_identity_check(np.zeros((3, 2)), [1, 0])
+        assert rep.lhs == 0.0 and rep.rhs_at_svd == 0.0 and rep.max_probe_gap == 0.0
+
+    def test_one_column_has_no_pair_to_turn(self):
+        rep = trace_identity_check([[3.0], [4.0]], [2.0])
+        assert rep.lhs == pytest.approx(10.0) and rep.max_probe_gap == 0.0
 
     def test_random_factors_never_beat_svd(self):
+        # For non-ascending w every predicted drop is >= 0, so no turned
+        # pair of the SVD factors of a random matrix beats the peak.
         rng = np.random.default_rng(17)
         a = rng.standard_normal((4, 3))
-        rep = trace_identity_check(a, [2, 1, 0], trials=1000, rng=rng)
+        rep = trace_identity_check(a, [2, 1, 0])
         assert abs(rep.lhs - rep.rhs_at_svd) <= 1e-8
-        assert rep.max_random_rhs <= rep.lhs + 1e-8
+        assert rep.max_probe_gap <= 1e-8
+
+    @pytest.mark.parametrize("shape", [(6, 5), (40, 30), (200, 150), (150, 200)])
+    def test_true_factors_within_bound(self, shape):
+        a, w = random_instance(np.random.default_rng(17), shape)
+        rep = trace_identity_check(a, w)
+        bound = probe_bound(a, w)
+        assert abs(rep.lhs - rep.rhs_at_svd) <= bound
+        assert rep.max_probe_gap <= 0.1 * bound
+
+    @pytest.mark.parametrize("factor", ["u", "v"])
+    @pytest.mark.parametrize("shape", [(6, 5), (40, 30), (200, 150), (150, 200)])
+    def test_turned_factor_exceeds_bound(self, monkeypatch, shape, factor):
+        # Columns 0 and k-1 of one factor off by 1e-6 rad.
+        a, w = random_instance(np.random.default_rng(18), shape)
+        k = min(shape)
+        patch_factors(
+            monkeypatch,
+            lambda f: dataclasses.replace(f, **{factor: turn(getattr(f, factor), 0, k - 1, 1e-6)}),
+        )
+        assert trace_identity_check(a, w).max_probe_gap > probe_bound(a, w)
+
+    def test_probe_matches_turning_the_factors(self, monkeypatch):
+        # On factors that are not the SVD's, the gap read from B's 2x2 blocks
+        # equals the one from turning each pair of columns in full.
+        rng = np.random.default_rng(19)
+        a, w = random_instance(rng, (6, 5))
+        f = wnnm.svd(a)
+        u = turn(f.u, 1, 3, 0.3)
+        patch_factors(monkeypatch, lambda _: dataclasses.replace(f, u=u))
+        gaps = []
+        for i in range(5):
+            for j in range(i + 1, 5):
+                for theta in (np.pi / 4, -np.pi / 4):
+                    ut, vt = turn(u, i, j, theta), turn(f.v, i, j, theta)
+                    drop = np.sum(w * np.diag(u.T @ a @ f.v)) - np.sum(w * np.diag(ut.T @ a @ vt))
+                    gaps.append(abs(drop - (f.sigma[i] - f.sigma[j]) * (w[i] - w[j]) / 2.0))
+        assert max(gaps) > 0.01
+        assert trace_identity_check(a, w).max_probe_gap == pytest.approx(max(gaps), rel=1e-9)
 
     def test_ascending_weights_rejected(self):
         with pytest.raises(InvalidInputError):
-            trace_identity_check(np.eye(2), [1, 2], trials=1)
+            trace_identity_check(np.eye(2), [1, 2])
         with pytest.raises(InvalidInputError):
-            trace_identity_check(np.eye(2), [1, 1 + 1e-13], trials=1)
-
-    def test_trials_must_be_positive(self):
-        with pytest.raises(InvalidInputError):
-            trace_identity_check(np.eye(2), [1, 1], trials=0)
-        with pytest.raises(InvalidInputError, match="trials must be an integer >= 1"):
-            trace_identity_check(np.eye(2), [1, 1], trials=1.5)
+            trace_identity_check(np.eye(2), [1, 1 + 1e-13])
