@@ -10,8 +10,8 @@ as vectorized block-merge passes (``np.bincount`` on block ids) under a
 budget of 4n visited blocks; only past that budget does a stack loop finish
 the blocks that remain. Pooling adjacent violators in any order reaches the
 same optimum, so the split costs no exactness. A closed form covers
-non-descending weights, and two independent checks (projected gradient,
-grid search) validate the fast paths.
+non-descending weights. The independent checks of both paths (projected
+gradient, grid search) are private routes of ``selftest``.
 """
 
 from __future__ import annotations
@@ -21,18 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConvergenceError, InvalidInputError
-from .linalg import _positive_count, _positive_real, check_array
-
-
-ORACLE_MAX_POINTS = 10**6  # brute_force_oracle's grid: n rows of this many floats
+from .exceptions import InvalidInputError
+from .linalg import check_array
 
 
 class SolverPath(enum.Enum):
     CLOSED_FORM = "closed_form"
     PAVA = "pava"
-    PROJ_GRAD = "projgrad"
-    BRUTE_FORCE = "brute_force"
 
 
 @dataclass(frozen=True)
@@ -174,78 +169,3 @@ def pava_solve(sigma, w) -> DiagSolution:
     """Globally optimal spectrum for arbitrary nonnegative weights."""
     sigma, w = _check_instance(sigma, w)
     return _solve(sigma, w, SolverPath.PAVA)
-
-
-def projgrad_reference(sigma, w, tol: float = 1e-10, max_iter: int = 10000) -> DiagSolution:
-    """Projected-gradient reference solver for cross-validating pava_solve.
-
-    Deliberately uses a conservative step size so it genuinely iterates
-    (step 1/L would coincide with a single cone projection). Stops when the
-    iterate moves less than ``tol`` in max-norm.
-    """
-    sigma, w = _check_instance(sigma, w)
-    tol = _positive_real(tol, "tol")
-    max_iter = _positive_count(max_iter, "max_iter")
-    step = 0.25
-    d = sigma.copy()
-    for _ in range(max_iter):
-        grad = 2.0 * (d - sigma) + w
-        d_next = project_monotone_nonneg(d - step * grad)
-        moved = float(np.max(np.abs(d_next - d))) if d.size else 0.0
-        d = d_next
-        if moved < tol:
-            return DiagSolution(
-                d=d, objective=_objective(d, sigma, w), path=SolverPath.PROJ_GRAD
-            )
-    raise ConvergenceError(
-        f"projected gradient did not reach tol={tol} in {max_iter} iterations",
-        last_iterate=d,
-        objective=_objective(d, sigma, w),
-        iterations=max_iter,
-    )
-
-
-def brute_force_oracle(sigma, w, grid_step: float) -> DiagSolution:
-    """Grid-search oracle: minimize over all chain-feasible spectra on the
-    grid {0, h, 2h, ...} up to sigma_1 + 1.
-
-    The minimum over that (combinatorially large) candidate set is computed
-    exactly with a dynamic program over grid levels, so the result is
-    identical to literal enumeration. Restricted to n <= 4 and to at most
-    ``ORACLE_MAX_POINTS`` grid points.
-    """
-    sigma, w = _check_instance(sigma, w)
-    n = sigma.size
-    if n > 4:
-        raise InvalidInputError("brute_force_oracle is limited to n <= 4")
-    grid_step = _positive_real(grid_step, "grid_step")
-    if n == 0:
-        return DiagSolution(d=np.empty(0), objective=0.0, path=SolverPath.BRUTE_FORCE)
-
-    top = sigma[0] + 1.0
-    if top / grid_step + 1.0 > ORACLE_MAX_POINTS:  # checked before any allocation
-        raise InvalidInputError(
-            f"grid_step {grid_step} needs over {ORACLE_MAX_POINTS} grid points up to {top}"
-        )
-    grid = np.arange(0.0, top + grid_step / 2.0, grid_step)
-    cost = (grid[None, :] - sigma[:, None]) ** 2 + w[:, None] * grid[None, :]
-
-    # best[j] = min cost of rows i..n-1 with d_i = grid[j]; argmins saved
-    # per row for backtracking. Prefix-min enforces d_i >= d_{i+1}.
-    idx = np.arange(grid.size)
-    best = cost[n - 1]
-    argmins: dict[int, np.ndarray] = {}
-    for i in range(n - 2, -1, -1):
-        prefmin = np.minimum.accumulate(best)
-        is_new = best < np.concatenate(([np.inf], prefmin[:-1]))
-        arg = np.maximum.accumulate(np.where(is_new, idx, 0))
-        argmins[i + 1] = arg
-        best = cost[i] + prefmin
-
-    j = int(np.argmin(best))
-    d = np.empty(n)
-    d[0] = grid[j]
-    for i in range(1, n):
-        j = int(argmins[i][j])
-        d[i] = grid[j]
-    return DiagSolution(d=d, objective=_objective(d, sigma, w), path=SolverPath.BRUTE_FORCE)

@@ -13,16 +13,3 @@ class InvalidInputError(WnnmError):
 class NumericalFailureError(WnnmError):
     """An underlying numerical routine failed to produce a usable result."""
 
-
-class ConvergenceError(WnnmError):
-    """Iterative solver exhausted its iteration budget.
-
-    Carries the last iterate and its objective so callers can inspect how
-    close the run got.
-    """
-
-    def __init__(self, message, last_iterate, objective, iterations):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.objective = objective
-        self.iterations = iterations

@@ -1,10 +1,12 @@
 """Seeded verification suites runnable from the CLI.
 
 Each suite cross-checks one analytic claim against an independent route:
-PAVA vs grid oracle, PAVA vs projected gradient, nnm_solve vs direct
-soft-thresholding of numpy's SVD (these two on matrices up to the scale's
-"shape"), the spectral trace identity, and the KKT certificate of the
-spectrum QP at sizes up to n = 20000.
+PAVA vs the grid oracle, PAVA vs projected gradient (both private routes
+here, at fixed settings, for the small instances the suites draw), the
+spectral trace identity and nnm_solve vs direct soft-thresholding of
+numpy's SVD (these two on matrices up to the scale's "shape"), the KKT
+certificate of the spectrum QP at sizes up to n = 20000, and wnnm_solve's
+optimum against nearby candidates at the scale's "shape".
 Each suite is a function that draws one instance and returns its gap, the
 bound on that gap and a detail; the one driver ``_suite`` runs it. A gap
 not <= its bound (NaN included) fails the suite with that detail; a pass
@@ -16,12 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import diag, solver
+from . import diag, linalg, solver
 from .exceptions import InvalidInputError
 
 SCALE_COUNTS = {
-    "small": {"oracle": 25, "cross": 25, "trace": 10, "nnm": 20, "kkt": 10, "shape": (6, 5)},
-    "full": {"oracle": 200, "cross": 200, "trace": 100, "nnm": 100, "kkt": 100, "shape": (200, 150)},
+    "small": {"oracle": 25, "cross": 25, "trace": 10, "nnm": 20, "kkt": 10, "cand": 20, "shape": (6, 5)},
+    "full": {"oracle": 200, "cross": 200, "trace": 100, "nnm": 100, "kkt": 100, "cand": 100,
+             "shape": (200, 150)},
 }
 
 
@@ -39,13 +42,47 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+PROJGRAD_STEPS = 100000  # the projected gradient's step budget
+
+
+def _grid_oracle(sigma, w) -> float:
+    """The least objective over every chain-feasible spectrum on the grid
+    {0, h, 2h, ...} up to sigma_1 + 1, h = 1e-3, for a sorted float spectrum
+    with n >= 1 and its weights. A dynamic program over grid levels gives
+    the minimum of literal enumeration: best[j] is the least cost of rows
+    i..n-1 with d_i = grid[j], and the prefix minimum keeps d_i >= d_{i+1}."""
+    h = 1e-3
+    grid = np.arange(0.0, sigma[0] + 1.0 + h / 2.0, h)
+    cost = (grid - sigma[:, None]) ** 2 + w[:, None] * grid
+    best = cost[-1]
+    for row in cost[-2::-1]:
+        best = row + np.minimum.accumulate(best)
+    return float(best.min())
+
+
+def _projgrad(sigma, w) -> float:
+    """The objective where projected gradient settles, for a sorted float
+    spectrum with n >= 1 and its weights: step 0.25, short enough that it
+    genuinely iterates (step 1/L would be one cone projection), until an
+    iterate moves less than 1e-12 in max-norm; inf if none does within
+    ``PROJGRAD_STEPS`` steps."""
+    d = sigma
+    for _ in range(PROJGRAD_STEPS):
+        d_next = diag.project_monotone_nonneg(d - 0.25 * (2.0 * (d - sigma) + w))
+        moved = np.max(np.abs(d_next - d))
+        d = d_next
+        if moved < 1e-12:
+            return diag._objective(d, sigma, w)
+    return np.inf
+
+
 def oracle_dominance(rng):
     """PAVA objective never exceeds the grid oracle's (n <= 3)."""
     n = int(rng.integers(1, 4))
     sigma = random_sigma(rng, n)
     w = rng.uniform(0.0, 2.0 * (sigma[0] if n else 1.0), size=n)
     got = diag.pava_solve(sigma, w).objective
-    ref = diag.brute_force_oracle(sigma, w, grid_step=1e-3).objective
+    ref = _grid_oracle(sigma, w)
     detail = f"sigma={sigma.tolist()} w={w.tolist()} pava={_fmt(got)} oracle={_fmt(ref)}"
     return got - ref, 1e-4, detail
 
@@ -56,7 +93,7 @@ def cross_solver(rng):
     sigma = random_sigma(rng, n)
     w = rng.uniform(0.0, 3.0, size=n)
     a = diag.pava_solve(sigma, w).objective
-    b = diag.projgrad_reference(sigma, w, tol=1e-12, max_iter=100000).objective
+    b = _projgrad(sigma, w)
     detail = f"sigma={sigma.tolist()} w={w.tolist()} pava={_fmt(a)} projgrad={_fmt(b)}"
     return abs(a - b), 1e-6, detail
 
@@ -117,6 +154,30 @@ def kkt_certificate(rng):
     return violation, bound, f"n={n} kkt violation={_fmt(violation)} bound={_fmt(bound)}"
 
 
+def candidate_dominance(rng, shape):
+    """No point x_star + t * sigma_1 * delta, for a random delta of rank
+    r <= 3 and unit norm in the leading singular subspace of y, where the
+    optimum's spectrum lives, and t log-uniform in [1e-9, 1e-3], has a
+    full objective below wnnm_solve's optimum."""
+    y = random_matrix(rng, *shape)
+    f = linalg.svd(y)
+    k = f.sigma.size
+    w = rng.uniform(0.0, 2.0 * f.sigma[0], size=k)
+    if rng.random() < 0.5:
+        w.sort()  # non-descending: the closed form; any other order takes PAVA
+    res = solver.wnnm_solve(y, w)
+    r = int(rng.integers(1, min(k, 3) + 1))
+    c = rng.standard_normal((r, r))
+    delta = f.u[:, :r] @ (c / np.linalg.norm(c)) @ f.v[:, :r].T
+    t = 10.0 ** rng.uniform(-9.0, -3.0)
+    optimum = res.d.objective
+    cand = solver.objective_full(y, res.x_star + t * f.sigma[0] * delta, w)
+    # Both objectives sum nonnegative terms, each rounding by about k * eps of the total.
+    bound = 16.0 * k * np.finfo(float).eps * optimum
+    detail = f"shape={y.shape} t={_fmt(t)} optimum={_fmt(optimum)} candidate={_fmt(cand)}"
+    return optimum - cand, bound, detail
+
+
 def _suite(rng, count, draw, *args) -> tuple[bool, str]:
     """Check ``count`` instances of ``draw(rng, *args)``. Returns whether all
     passed, and the first failing instance or the worst gap/bound."""
@@ -141,6 +202,7 @@ def run_selftest(seed: int, scale: str) -> int:
         ("trace-identity", counts["trace"], trace_identity, counts["shape"]),
         ("nnm-equivalence", counts["nnm"], nnm_equivalence, counts["shape"]),
         ("kkt-certificate", counts["kkt"], kkt_certificate),
+        ("candidate-dominance", counts["cand"], candidate_dominance, counts["shape"]),
     ]
     failures = 0
     for name, count, draw, *args in suites:

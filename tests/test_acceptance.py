@@ -15,19 +15,18 @@ import pytest
 import wnnm
 from wnnm import (
     DenoiseConfig,
-    brute_force_oracle,
     closed_form,
     denoise,
     nnm_solve,
     objective_full,
     pava_solve,
-    projgrad_reference,
     psnr,
     svd,
     trace_identity_check,
     wnnm_solve,
 )
 from wnnm.linalg import reconstruct
+from wnnm.selftest import _grid_oracle, _projgrad
 
 
 def report(name, ok):
@@ -47,7 +46,7 @@ def test_criterion_1_oracle_optimality():
         sigma = sorted_desc(rng, n)
         w = rng.uniform(0.0, 2.0 * sigma[0], size=n) if sigma[0] > 0 else np.zeros(n)
         fast = pava_solve(sigma, w).objective
-        slow = brute_force_oracle(sigma, w, grid_step=1e-3).objective
+        slow = _grid_oracle(sigma, w)
         ok &= fast <= slow + 1e-4
     report("oracle optimality (grid search never beats PAVA, n<=3)", ok)
 
@@ -72,7 +71,7 @@ def test_criterion_3_cross_solver_agreement():
         sigma = sorted_desc(rng, n)
         w = rng.uniform(0.0, 3.0, size=n)
         a = pava_solve(sigma, w).objective
-        b = projgrad_reference(sigma, w, tol=1e-10, max_iter=100000).objective
+        b = _projgrad(sigma, w)
         ok &= abs(a - b) <= 1e-6
     report("PAVA vs projected-gradient objective agreement", ok)
 

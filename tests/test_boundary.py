@@ -39,13 +39,6 @@ CPLX = np.array([2.0 + 1.0j, 1.0])  # a numpy complex array, not a list of Pytho
 
 # (public name, kind of bad input, call taking pytest's tmp_path)
 CASES = [
-    ("brute_force_oracle", "nan", lambda tmp: wnnm.brute_force_oracle([2.0, NAN], [0.0, 0.0], 0.5)),
-    ("brute_force_oracle", "shape", lambda tmp: wnnm.brute_force_oracle([2.0, 1.0], [0.0], 0.5)),
-    ("brute_force_oracle", "text", lambda tmp: wnnm.brute_force_oracle([1.0], [1.0], grid_step="a")),
-    ("brute_force_oracle", "real-text", lambda tmp: wnnm.brute_force_oracle(["1.5"], [0.0], 0.5)),
-    ("brute_force_oracle", "complex", lambda tmp: wnnm.brute_force_oracle(CPLX, [0.0, 0.0], 0.5)),
-    ("brute_force_oracle", "huge-int", lambda tmp: wnnm.brute_force_oracle([HUGE], [0.0], 0.5)),
-    ("brute_force_oracle", "none", lambda tmp: wnnm.brute_force_oracle([1.0], [1.0], grid_step=None)),
     ("closed_form", "nan", lambda tmp: wnnm.closed_form([2.0, 1.0], [0.0, NAN])),
     ("closed_form", "shape", lambda tmp: wnnm.closed_form([[2.0, 1.0]], [0.0, 1.0])),
     ("closed_form", "text", lambda tmp: wnnm.closed_form(["a"], [1.0])),
@@ -82,12 +75,6 @@ CASES = [
     ("pava_solve", "real-text", lambda tmp: wnnm.pava_solve(["2"], ["1"])),
     ("pava_solve", "complex", lambda tmp: wnnm.pava_solve([2.0, 1.0], CPLX)),
     ("pava_solve", "huge-int", lambda tmp: wnnm.pava_solve([HUGE], [0.0])),
-    ("projgrad_reference", "nan", lambda tmp: wnnm.projgrad_reference([2.0, 1.0], [NAN, 0.0])),
-    ("projgrad_reference", "shape", lambda tmp: wnnm.projgrad_reference(2.0, 1.0)),
-    ("projgrad_reference", "text", lambda tmp: wnnm.projgrad_reference([1.0], [1.0], tol="a")),
-    ("projgrad_reference", "real-text", lambda tmp: wnnm.projgrad_reference(["1.5"], [1.0])),
-    ("projgrad_reference", "complex", lambda tmp: wnnm.projgrad_reference(CPLX, [0.0, 0.0])),
-    ("projgrad_reference", "huge-int", lambda tmp: wnnm.projgrad_reference([1.0], [HUGE])),
     ("psnr", "nan", lambda tmp: wnnm.psnr(np.ones((4, 4)), with_nan((4, 4)))),
     ("psnr", "shape", lambda tmp: wnnm.psnr(np.ones((4, 4)), np.ones((4, 5)))),
     ("psnr", "text", lambda tmp: wnnm.psnr([["a"]], [[1.0]])),
@@ -123,6 +110,16 @@ CASES = [
 ]
 
 
+def test_public_surface_is_pinned():
+    # An export added or dropped shows up here, classes included.
+    assert sorted(wnnm.__all__) == [
+        "DenoiseConfig", "DenoiseStats", "DiagSolution", "InvalidInputError",
+        "NumericalFailureError", "SolverPath", "SvdFactors", "WnnmError", "WnnmResult",
+        "closed_form", "denoise", "nnm_solve", "objective_full", "pava_solve", "psnr",
+        "read_pgm", "svd", "trace_identity_check", "wnnm_solve", "write_pgm",
+    ]
+
+
 def test_table_covers_every_public_function():
     public = {name for name in wnnm.__all__ if inspect.isfunction(getattr(wnnm, name))}
     checked = public | {"DenoiseConfig"}
@@ -145,13 +142,11 @@ def test_bad_input_rejected(call, tmp_path):
 # kernel's output, ``nnm_solve``'s weight vector) are not checked again.
 # (public name, expected calls, valid call taking pytest's tmp_path)
 CHECKS = [
-    ("brute_force_oracle", 3, lambda tmp: wnnm.brute_force_oracle([2.0, 1.0], [1.0, 0.0], 0.5)),
     ("closed_form", 2, lambda tmp: wnnm.closed_form([2.0, 1.0], [0.0, 1.0])),
     ("denoise", 1, lambda tmp: wnnm.denoise(np.ones((8, 8)), CFG)),
     ("DenoiseConfig", 2, lambda tmp: wnnm.DenoiseConfig(noise_sigma=10.0)),
     ("objective_full", 3, lambda tmp: wnnm.objective_full(np.eye(2), np.eye(2), [1.0, 1.0])),
     ("pava_solve", 2, lambda tmp: wnnm.pava_solve([2.0, 1.0], [1.0, 0.0])),
-    ("projgrad_reference", 3, lambda tmp: wnnm.projgrad_reference([2.0, 1.0], [1.0, 0.0])),
     ("psnr", 2, lambda tmp: wnnm.psnr(np.ones((4, 4)), np.zeros((4, 4)))),
     ("read_pgm", 0, lambda tmp: wnnm.read_pgm(good_pgm(tmp))),
     ("svd", 1, lambda tmp: wnnm.svd(np.eye(2))),
@@ -183,8 +178,6 @@ def test_each_outside_value_checked_once(expected, call, tmp_path, monkeypatch):
 # Every real an export takes, as a call on that one value.
 REALS = [
     ("nnm_solve-lam", lambda x: wnnm.nnm_solve(np.eye(2), x)),
-    ("projgrad_reference-tol", lambda x: wnnm.projgrad_reference([1.0], [0.5], tol=x)),
-    ("brute_force_oracle-grid_step", lambda x: wnnm.brute_force_oracle([3, 2], [4, 0], x)),
     ("DenoiseConfig-noise_sigma", lambda x: wnnm.DenoiseConfig(noise_sigma=x)),
     ("DenoiseConfig-weight_constant", lambda x: wnnm.DenoiseConfig(noise_sigma=1.0, weight_constant=x)),
 ]

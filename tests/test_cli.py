@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import wnnm
 import wnnm.cli
 import wnnm.diag
+import wnnm.selftest
 import wnnm.solver
 from wnnm import DenoiseConfig, InvalidInputError, denoise, nnm_solve, read_pgm, write_pgm
 from wnnm.cli import main, read_matrix_csv, write_matrix_csv
@@ -245,10 +246,9 @@ def error_classes(base=wnnm.WnnmError):
 @pytest.mark.parametrize("error", list(error_classes()), ids=lambda error: error.__name__)
 def test_every_error_class_maps_to_its_exit_code(capsys, monkeypatch, error):
     # The README's contract: bad input exits 2 with "error:", any other
-    # package error 3 with "numerical error:". ``__new__`` alone makes the
-    # instance, since ConvergenceError's ``__init__`` takes more than a message.
+    # package error 3 with "numerical error:".
     def raise_it(args):
-        raise error.__new__(error, "boom")
+        raise error("boom")
 
     monkeypatch.setattr(wnnm.cli, "cmd_solve", raise_it)
     code, stdout, err = run(capsys, "solve", "--matrix", "m.csv", "--lambda", "1", "--out", "x.csv")
@@ -353,10 +353,10 @@ class TestSelftest:
         for scale in ([], ["--scale", "full"]):
             code, stdout, _ = run(capsys, "selftest", *scale)
             assert code == 0
-            assert stdout.count("PASS") == 5 and stdout.endswith("5/5 suites passed\n")
+            assert stdout.count("PASS") == 6 and stdout.endswith("6/6 suites passed\n")
             for suite in (
                 "oracle-dominance", "cross-solver", "trace-identity", "nnm-equivalence",
-                "kkt-certificate",
+                "kkt-certificate", "candidate-dominance",
             ):
                 assert f"{suite}: PASS (worst gap/bound " in stdout
 
@@ -366,16 +366,35 @@ class TestSelftest:
         assert err == "error: seed must be a nonnegative integer, got -1\n"
 
     def test_injected_bug_fails(self, capsys, monkeypatch):
-        real_oracle = wnnm.diag.brute_force_oracle
-
-        def negated_oracle(*args, **kwargs):
-            sol = real_oracle(*args, **kwargs)
-            return dataclasses.replace(sol, objective=-sol.objective)
-
-        monkeypatch.setattr(wnnm.diag, "brute_force_oracle", negated_oracle)
+        real_oracle = wnnm.selftest._grid_oracle
+        monkeypatch.setattr(wnnm.selftest, "_grid_oracle", lambda sigma, w: -real_oracle(sigma, w))
         code, stdout, _ = run(capsys, "selftest")
         assert code == 1
         assert "oracle-dominance: FAIL" in stdout
+
+    def test_offset_projgrad_fails_cross_solver(self, capsys, monkeypatch):
+        real = wnnm.selftest._projgrad
+        monkeypatch.setattr(wnnm.selftest, "_projgrad", lambda sigma, w: real(sigma, w) + 1e-3)
+        code, stdout, _ = run(capsys, "selftest")
+        assert code == 1
+        assert "cross-solver: FAIL (instance 0: " in stdout
+
+    def test_unsettled_projgrad_fails_cross_solver(self, capsys, monkeypatch):
+        # One step moves the iterate by about w/4, far above 1e-12, so it
+        # does not settle: the route returns inf, and the suite reports the instance.
+        monkeypatch.setattr(wnnm.selftest, "PROJGRAD_STEPS", 1)
+        code, stdout, _ = run(capsys, "selftest")
+        assert code == 1
+        assert "cross-solver: FAIL (instance 0: sigma=" in stdout and "projgrad=inf)" in stdout
+
+    def test_scaled_spectrum_fails_candidate_dominance(self, capsys, monkeypatch):
+        # A spectrum 0.1% too large: a candidate towards the true optimum beats it.
+        real = wnnm.diag.spectrum
+        monkeypatch.setattr(wnnm.diag, "spectrum", lambda *args: 1.001 * real(*args))
+        for scale in ([], ["--scale", "full"]):
+            code, stdout, _ = run(capsys, "selftest", *scale)
+            assert code == 1
+            assert "candidate-dominance: FAIL (instance " in stdout
 
     def test_infeasible_spectrum_fails_kkt(self, capsys, monkeypatch):
         # An ascending d is infeasible, so no KKT certificate applies. The

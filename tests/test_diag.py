@@ -3,18 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wnnm import (
-    ConvergenceError,
-    InvalidInputError,
-    SolverPath,
-    brute_force_oracle,
-    closed_form,
-    pava_solve,
-    projgrad_reference,
-)
+from wnnm import InvalidInputError, SolverPath, closed_form, pava_solve
 from wnnm import diag
 from wnnm.diag import project_monotone_nonneg
-from wnnm.selftest import kkt_violation
+from wnnm.selftest import _grid_oracle, _projgrad, kkt_violation
 
 
 def random_instance(rng, n_max=10):
@@ -119,88 +111,31 @@ class TestPava:
 
 class TestProjGrad:
     def test_agrees_with_pava(self):
-        for sigma, w in [([3, 2], [4, 0]), ([3, 1], [1, 3])]:
-            a = projgrad_reference(sigma, w, tol=1e-12, max_iter=100000)
-            b = pava_solve(sigma, w)
-            np.testing.assert_allclose(a.d, b.d, atol=1e-6)
-            assert a.path is SolverPath.PROJ_GRAD
+        for sigma, w in [([3.0, 2.0], [4.0, 0.0]), ([3.0, 1.0], [1.0, 3.0])]:
+            sigma, w = np.array(sigma), np.array(w)
+            assert abs(_projgrad(sigma, w) - pava_solve(sigma, w).objective) <= 1e-10
 
     def test_unconstrained_minimum_already_feasible(self):
-        np.testing.assert_allclose(projgrad_reference([1], [0], tol=1e-12).d, [1.0], atol=1e-10)
-
-    def test_exhaustion_raises_with_last_iterate(self):
-        with pytest.raises(ConvergenceError) as exc_info:
-            projgrad_reference([3, 2], [4, 0], tol=1e-15, max_iter=2)
-        err = exc_info.value
-        assert err.last_iterate.shape == (2,)
-        assert err.iterations == 2
-        assert np.isfinite(err.objective)
-
-    def test_bad_arguments(self):
-        with pytest.raises(InvalidInputError):
-            projgrad_reference([1], [1], tol=0.0)
-        with pytest.raises(InvalidInputError):
-            projgrad_reference([1], [1], max_iter=0)
-        for tol in (np.nan, np.inf):
-            with pytest.raises(InvalidInputError, match="tol contains NaN or Inf"):
-                projgrad_reference([1], [1], tol=tol)
-        with pytest.raises(InvalidInputError, match="max_iter must be an integer >= 1"):
-            projgrad_reference([1], [1], max_iter=2.5)
+        assert _projgrad(np.array([1.0]), np.array([0.0])) == 0.0
 
     def test_random_cross_agreement(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             sigma, w = random_instance(rng)
-            a = pava_solve(sigma, w).objective
-            b = projgrad_reference(sigma, w, tol=1e-12, max_iter=100000).objective
-            assert abs(a - b) <= 1e-6
+            assert abs(pava_solve(sigma, w).objective - _projgrad(sigma, w)) <= 1e-6
 
 
 class TestOracle:
     def test_hand_values(self):
-        np.testing.assert_allclose(brute_force_oracle([3, 2], [4, 0], 0.01).d, [1.5, 1.5])
-        np.testing.assert_allclose(brute_force_oracle([0], [1], 0.01).d, [0.0])
-        np.testing.assert_allclose(brute_force_oracle([3, 1], [1, 3], 0.01).d, [2.5, 0.0])
-
-    def test_empty_instance(self):
-        sol = brute_force_oracle([], [], 0.5)
-        assert sol.d.size == 0 and sol.objective == 0.0 and sol.path is SolverPath.BRUTE_FORCE
-
-    def test_refuses_large_instances(self):
-        with pytest.raises(InvalidInputError):
-            brute_force_oracle([5, 4, 3, 2, 1], [1, 1, 1, 1, 1], 0.1)
-
-    @pytest.mark.parametrize("grid_step", [0.0, -1.0, np.nan, np.inf])
-    def test_bad_grid_step(self, grid_step):
-        message = "must be positive" if np.isfinite(grid_step) else "contains NaN or Inf"
-        with pytest.raises(InvalidInputError, match=f"grid_step {message}"):
-            brute_force_oracle([3, 2], [4, 0], grid_step)
-
-    @pytest.mark.parametrize("grid_step", [1e-300, 1e-9])
-    def test_grid_too_fine(self, grid_step, monkeypatch):
-        # Without the cap, 1e-300 makes numpy raise ValueError and 1e-9
-        # asks for billions of points; a failing arange proves no grid is
-        # allocated either way.
-        def no_grid(*args, **kwargs):
-            raise AssertionError("the grid was allocated")
-
-        monkeypatch.setattr(np, "arange", no_grid)
-        with pytest.raises(InvalidInputError, match="grid points"):
-            brute_force_oracle([3, 2], [4, 0], grid_step)
-
-    def test_result_is_feasible(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            sigma, w = random_instance(rng, n_max=4)
-            assert feasible(brute_force_oracle(sigma, w, 0.05).d)
+        for sigma, w, objective in [([3, 2], [4, 0], 8.5), ([3, 1], [1, 3], 3.75), ([0], [1], 0.0)]:
+            got = _grid_oracle(np.array(sigma, dtype=float), np.array(w, dtype=float))
+            assert abs(got - objective) <= 1e-9
 
     def test_pava_never_beaten_by_grid(self):
         rng = np.random.default_rng(9)
         for _ in range(200):
             sigma, w = random_instance(rng, n_max=3)
-            fast = pava_solve(sigma, w).objective
-            slow = brute_force_oracle(sigma, w, 1e-3).objective
-            assert fast <= slow + 1e-4
+            assert pava_solve(sigma, w).objective <= _grid_oracle(sigma, w) + 1e-4
 
 
 @settings(max_examples=100, deadline=None)
