@@ -2,7 +2,7 @@
 
 Each suite cross-checks one analytic claim against an independent route:
 PAVA vs the grid oracle, PAVA vs projected gradient (both private routes
-here, at fixed settings, for the small instances the suites draw), the
+here, at fixed settings, each checking its instance), the
 spectral trace identity and nnm_solve vs direct soft-thresholding of
 numpy's SVD (these two on matrices up to the scale's "shape"), the KKT
 certificate of the spectrum QP at sizes up to n = 20000, and wnnm_solve's
@@ -47,10 +47,11 @@ PROJGRAD_STEPS = 100000  # the projected gradient's step budget
 
 def _grid_oracle(sigma, w) -> float:
     """The least objective over every chain-feasible spectrum on the grid
-    {0, h, 2h, ...} up to sigma_1 + 1, h = 1e-3, for a sorted float spectrum
-    with n >= 1 and its weights. A dynamic program over grid levels gives
+    {0, h, 2h, ...} up to sigma_1 + 1, h = 1e-3, for an instance with n >= 1
+    checked as pava_solve checks it. A dynamic program over grid levels gives
     the minimum of literal enumeration: best[j] is the least cost of rows
     i..n-1 with d_i = grid[j], and the prefix minimum keeps d_i >= d_{i+1}."""
+    sigma, w = diag._check_instance(sigma, w)
     h = 1e-3
     grid = np.arange(0.0, sigma[0] + 1.0 + h / 2.0, h)
     cost = (grid - sigma[:, None]) ** 2 + w[:, None] * grid
@@ -61,11 +62,12 @@ def _grid_oracle(sigma, w) -> float:
 
 
 def _projgrad(sigma, w) -> float:
-    """The objective where projected gradient settles, for a sorted float
-    spectrum with n >= 1 and its weights: step 0.25, short enough that it
+    """The objective where projected gradient settles, for an instance with
+    n >= 1 checked as pava_solve checks it: step 0.25, short enough that it
     genuinely iterates (step 1/L would be one cone projection), until an
     iterate moves less than 1e-12 in max-norm; inf if none does within
     ``PROJGRAD_STEPS`` steps."""
+    sigma, w = diag._check_instance(sigma, w)
     d = sigma
     for _ in range(PROJGRAD_STEPS):
         d_next = diag.project_monotone_nonneg(d - 0.25 * (2.0 * (d - sigma) + w))

@@ -1,7 +1,8 @@
-"""Every public function, and ``DenoiseConfig``, checks its input: one
-NaN input, one wrong-shape input and, where it takes numbers, one input of
-each kind that is not a real number (text, numeric text, complex, an int
-beyond the float range) each raise ``InvalidInputError``. Every real
+"""Every public function, ``DenoiseConfig`` and the selftest's two reference
+routes check their input: one NaN input, one wrong-shape input and, where it
+takes numbers, one input of each kind that is not a real number (text,
+numeric text, complex, an int beyond the float range) each raise
+``InvalidInputError``. Every real
 parameter takes a 0-D array as its float and rejects each bad scalar."""
 
 import inspect
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import wnnm
+from wnnm.selftest import _grid_oracle, _projgrad
 
 NAN = float("nan")
 
@@ -37,8 +39,19 @@ CFG = wnnm.DenoiseConfig(noise_sigma=10.0, patch_size=3)
 HUGE = 10**400  # an int beyond the float range
 CPLX = np.array([2.0 + 1.0j, 1.0])  # a numpy complex array, not a list of Python complex
 
-# (public name, kind of bad input, call taking pytest's tmp_path)
+# The selftest's reference routes check their instance as pava_solve does;
+# their rows carry the names the routes had as exports.
+ROUTES = {"brute_force_oracle", "projgrad_reference"}
+
+# (public name or route, kind of bad input, call taking pytest's tmp_path)
 CASES = [
+    ("brute_force_oracle", "nan", lambda tmp: _grid_oracle([2.0, NAN], [0.0, 0.0])),
+    ("brute_force_oracle", "shape", lambda tmp: _grid_oracle([2.0, 1.0], [0.0])),
+    ("brute_force_oracle", "text", lambda tmp: _grid_oracle(["a"], [1.0])),
+    ("brute_force_oracle", "real-text", lambda tmp: _grid_oracle(["1.5"], [0.0])),
+    ("brute_force_oracle", "complex", lambda tmp: _grid_oracle(CPLX, [0.0, 0.0])),
+    ("brute_force_oracle", "huge-int", lambda tmp: _grid_oracle([HUGE], [0.0])),
+    ("brute_force_oracle", "none", lambda tmp: _grid_oracle(None, [1.0])),
     ("closed_form", "nan", lambda tmp: wnnm.closed_form([2.0, 1.0], [0.0, NAN])),
     ("closed_form", "shape", lambda tmp: wnnm.closed_form([[2.0, 1.0]], [0.0, 1.0])),
     ("closed_form", "text", lambda tmp: wnnm.closed_form(["a"], [1.0])),
@@ -75,6 +88,12 @@ CASES = [
     ("pava_solve", "real-text", lambda tmp: wnnm.pava_solve(["2"], ["1"])),
     ("pava_solve", "complex", lambda tmp: wnnm.pava_solve([2.0, 1.0], CPLX)),
     ("pava_solve", "huge-int", lambda tmp: wnnm.pava_solve([HUGE], [0.0])),
+    ("projgrad_reference", "nan", lambda tmp: _projgrad([2.0, 1.0], [NAN, 0.0])),
+    ("projgrad_reference", "shape", lambda tmp: _projgrad(2.0, 1.0)),
+    ("projgrad_reference", "text", lambda tmp: _projgrad([1.0], ["a"])),
+    ("projgrad_reference", "real-text", lambda tmp: _projgrad(["1.5"], [1.0])),
+    ("projgrad_reference", "complex", lambda tmp: _projgrad(CPLX, [0.0, 0.0])),
+    ("projgrad_reference", "huge-int", lambda tmp: _projgrad([1.0], [HUGE])),
     ("psnr", "nan", lambda tmp: wnnm.psnr(np.ones((4, 4)), with_nan((4, 4)))),
     ("psnr", "shape", lambda tmp: wnnm.psnr(np.ones((4, 4)), np.ones((4, 5)))),
     ("psnr", "text", lambda tmp: wnnm.psnr([["a"]], [[1.0]])),
@@ -122,7 +141,7 @@ def test_public_surface_is_pinned():
 
 def test_table_covers_every_public_function():
     public = {name for name in wnnm.__all__ if inspect.isfunction(getattr(wnnm, name))}
-    checked = public | {"DenoiseConfig"}
+    checked = public | {"DenoiseConfig"} | ROUTES
     assert {name for name, _, _ in CASES} == checked
     assert {name for name, _, _ in CHECKS} == checked
     # All but read_pgm, which takes a path, take numbers.
@@ -137,16 +156,18 @@ def test_bad_input_rejected(call, tmp_path):
 
 
 # Each outside value is checked once: the number of ``check_array`` calls that
-# one valid call of each public function makes, a real's through
+# one valid call of each public function or route makes, a real's through
 # ``_positive_real``. Values the package computes (LAPACK's spectrum, the
 # kernel's output, ``nnm_solve``'s weight vector) are not checked again.
-# (public name, expected calls, valid call taking pytest's tmp_path)
+# (public name or route, expected calls, valid call taking pytest's tmp_path)
 CHECKS = [
+    ("brute_force_oracle", 2, lambda tmp: _grid_oracle([2.0, 1.0], [1.0, 0.0])),
     ("closed_form", 2, lambda tmp: wnnm.closed_form([2.0, 1.0], [0.0, 1.0])),
     ("denoise", 1, lambda tmp: wnnm.denoise(np.ones((8, 8)), CFG)),
     ("DenoiseConfig", 2, lambda tmp: wnnm.DenoiseConfig(noise_sigma=10.0)),
     ("objective_full", 3, lambda tmp: wnnm.objective_full(np.eye(2), np.eye(2), [1.0, 1.0])),
     ("pava_solve", 2, lambda tmp: wnnm.pava_solve([2.0, 1.0], [1.0, 0.0])),
+    ("projgrad_reference", 2, lambda tmp: _projgrad([2.0, 1.0], [1.0, 0.0])),
     ("psnr", 2, lambda tmp: wnnm.psnr(np.ones((4, 4)), np.zeros((4, 4)))),
     ("read_pgm", 0, lambda tmp: wnnm.read_pgm(good_pgm(tmp))),
     ("svd", 1, lambda tmp: wnnm.svd(np.eye(2))),

@@ -131,6 +131,14 @@ class TestOracle:
             got = _grid_oracle(np.array(sigma, dtype=float), np.array(w, dtype=float))
             assert abs(got - objective) <= 1e-9
 
+    def test_result_is_feasible(self):
+        # The grid's minimum is the objective of a feasible spectrum, so it
+        # never falls below the optimum over all feasible spectra.
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            sigma, w = random_instance(rng, n_max=4)
+            assert _grid_oracle(sigma, w) >= pava_solve(sigma, w).objective - 1e-12
+
     def test_pava_never_beaten_by_grid(self):
         rng = np.random.default_rng(9)
         for _ in range(200):
