@@ -20,8 +20,8 @@ everything is array code:
   unchanged and add only zeros, whose ``d`` is set to 0 (LAPACK can return
   them at rounding level, which a tiny noise level would not shrink away).
   The weights (inverse estimated clean singular value, each group with its
-  own k) are non-descending, so the closed-form spectrum kernel applies to
-  every group, and one batched ``reconstruct`` gives the estimates.
+  own k) are non-descending, so the ordered stack takes the spectrum
+  kernel's first-pass exit; one batched ``reconstruct`` gives the estimates.
 * Aggregation. Each member's estimate is summed straight onto the pixels
   it covers: one ``np.bincount`` per row for the sums and one for the
   counts, on flat pixel indices (top-left pixel plus patch offset).
@@ -260,7 +260,7 @@ def denoise(img, cfg: DenoiseConfig, stats: DenoiseStats | None = None) -> np.nd
             groups = np.where(valid[..., None], flat[members], 0.0)
             factors = thin_svd(np.swapaxes(groups, 1, 2))
             weights = group_weights(factors.sigma, sizes[:, None], cfg)
-            d = diag.spectrum(factors.sigma, weights, diag.SolverPath.CLOSED_FORM)
+            d = diag.spectrum(factors.sigma, weights)
             d[np.arange(d.shape[1]) >= np.minimum(p * p, sizes)[:, None]] = 0.0
             estimates = np.swapaxes(reconstruct(factors, d), 1, 2)[valid]
             m = members[valid]

@@ -9,9 +9,10 @@ pool-adjacent-violators (PAVA) plus a final clamp solves exactly. PAVA runs
 as vectorized block-merge passes (``np.bincount`` on block ids) under a
 budget of 4n visited blocks; only past that budget does a stack loop finish
 the blocks that remain. Pooling adjacent violators in any order reaches the
-same optimum, so the split costs no exactness. A closed form covers
-non-descending weights. The independent checks of both paths (projected
-gradient, grid search) are private routes of ``selftest``.
+same optimum, so the split costs no exactness. For non-descending weights
+the first pass finds no violator and returns the closed form: ``spectrum``
+is the one kernel, and the path only labels a result. The independent
+checks (projected gradient, grid search) are private routes of ``selftest``.
 """
 
 from __future__ import annotations
@@ -139,19 +140,26 @@ def project_monotone_nonneg(t) -> np.ndarray:
     return np.repeat(np.maximum(means, 0.0, out=means), counts.astype(np.intp))
 
 
-def spectrum(sigma, w, path: SolverPath) -> np.ndarray:
+def spectrum(sigma, w) -> np.ndarray:
     """The one spectrum kernel, unvalidated: the optimal ``d`` on the
-    targets t = sigma - w/2 by either path.
+    targets t = sigma - w/2, for one spectrum or a stack along the last axis.
 
-    The closed form acts elementwise, so it also takes a stack of spectra
-    along the last axis; PAVA takes one vector.
+    One spectrum goes to ``project_monotone_nonneg``. For non-descending
+    weights the targets are non-increasing (rounding is monotone), so its
+    first pass finds no violator and returns max(t, 0), the closed form. A
+    stack whose every row is non-increasing takes that exit at once; any
+    other stack, NaN targets included, is projected row by row.
     """
     t = sigma - w / 2.0
-    return np.maximum(t, 0.0) if path is SolverPath.CLOSED_FORM else project_monotone_nonneg(t)
+    if t.ndim == 1:
+        return project_monotone_nonneg(t)
+    if (t[..., :-1] >= t[..., 1:]).all():
+        return np.maximum(t, 0.0)
+    return np.apply_along_axis(project_monotone_nonneg, -1, t)
 
 
 def _solve(sigma: np.ndarray, w: np.ndarray, path: SolverPath) -> DiagSolution:
-    d = spectrum(sigma, w, path)
+    d = spectrum(sigma, w)
     return DiagSolution(d=d, objective=_objective(d, sigma, w), path=path)
 
 

@@ -31,19 +31,21 @@ def objective_full(y, x, w) -> float:
         raise InvalidInputError(f"shape mismatch: y is {y.shape}, x is {x.shape}")
     sigma_x = thin_svd(x).sigma
     w = diag._check_weights(w, sigma_x.size)
-    return float(np.sum((y - x) ** 2) + np.sum(w * sigma_x))
+    # An overflow gives inf, which callers report; numpy need not warn too.
+    with np.errstate(over="ignore"):
+        return float(np.sum((y - x) ** 2) + np.sum(w * sigma_x))
 
 
 def shrink(factors: SvdFactors, w) -> WnnmResult:
     """Apply the WNNM operator to the matrix whose thin SVD is ``factors``.
 
-    The weights, which have passed the weights rule, choose the path: the
-    closed form when non-descending, PAVA otherwise. ``d.objective``, the
-    spectrum objective of ``d.d``, equals the full objective at ``x_star``,
-    which shares the input's singular vectors; ``objective_full`` is the
-    independent check. The public solver that runs checks the weights again
-    only because perfbench counts ``diag.closed_form``/``diag.pava_solve``
-    calls; once it no longer does, ``solve(...)`` becomes ``diag._solve(...)``.
+    The weights, which have passed the weights rule, pick the path label:
+    the closed form when non-descending, else PAVA; both run the one kernel,
+    ``diag.spectrum``. ``d.objective``, the spectrum objective of ``d.d``,
+    equals the full objective at ``x_star``, which shares the input's
+    singular vectors; ``objective_full`` is the independent check. The
+    public solver re-checks the weights only because perfbench counts its
+    calls; once it no longer does, ``solve(...)`` becomes ``diag._solve``.
     """
     solve = diag.closed_form if diag.weights_non_descending(w) else diag.pava_solve
     sol = solve(factors.sigma, w)

@@ -91,6 +91,15 @@ def test_criterion_4_nnm_special_case():
     report("nnm_solve equals soft-thresholding of numpy's SVD at lam/2", ok)
 
 
+def leading_step(rng, u, s, vt):
+    """t * sigma_1 * delta: delta of unit norm and rank <= 3 in the leading
+    singular subspace of y (where the optimum's spectrum lives), t
+    log-uniform in [1e-9, 1e-3]."""
+    r = int(rng.integers(1, min(s.size, 3) + 1))
+    c = rng.standard_normal((r, r))
+    return 10.0 ** rng.uniform(-9.0, -3.0) * s[0] * (u[:, :r] @ (c / np.linalg.norm(c)) @ vt[:r])
+
+
 def test_criterion_5_candidate_dominance():
     rng = np.random.default_rng(1005)
     ok = True
@@ -99,16 +108,21 @@ def test_criterion_5_candidate_dominance():
         y = rng.uniform(-1.0, 1.0, size=(m, n))
         w = rng.uniform(0.0, 2.0, size=min(m, n))
         r = wnnm_solve(y, w)
+        u, s, vt = np.linalg.svd(y, full_matrices=False)
         for j in range(500):
-            kind = j % 3
+            kind = j % 4
             if kind == 0:
                 c = r.x_star + rng.normal(0.0, 0.2, size=y.shape)
             elif kind == 1:
                 c = y + rng.normal(0.0, 0.2, size=y.shape)
-            else:
+            elif kind == 2:
                 k = int(rng.integers(1, min(m, n) + 1))
                 c = rng.standard_normal((m, k)) @ rng.standard_normal((k, n))
-            if not r.d.objective <= objective_full(y, c, w) + 1e-6:
+            else:
+                c = r.x_star + leading_step(rng, u, s, vt)
+            # A step along the spectrum is checked to rounding, relative to the optimum.
+            slack = 16 * s.size * np.finfo(float).eps * r.d.objective if kind == 3 else 1e-6
+            if not r.d.objective <= objective_full(y, c, w) + slack:
                 ok = False
     report("solution dominates 500 random candidates per instance", ok)
 

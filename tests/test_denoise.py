@@ -1,6 +1,9 @@
 import dataclasses
 import importlib
 import itertools
+import os
+import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+import wnnm
 from wnnm import (
     DenoiseConfig, DenoiseStats, InvalidInputError, NumericalFailureError, denoise, psnr, svd, write_pgm
 )
@@ -499,3 +503,21 @@ class TestPsnr:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             psnr(np.zeros((4, 4)), np.zeros((4, 5)))
+
+
+def test_demo_script_runs(tmp_path):
+    """``scripts/denoise_demo.py`` writes its three PGMs and reports a gain."""
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "scripts", "denoise_demo.py")
+    # The subprocess imports the same wnnm package as this test, installed or not.
+    src = os.path.dirname(os.path.dirname(wnnm.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    prefix = tmp_path / "demo"
+    run = subprocess.run([sys.executable, script, "--size", "24", "--prefix", str(prefix)],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    for name in ("clean", "noisy", "denoised"):
+        assert (tmp_path / f"demo_{name}.pgm").stat().st_size > 0
+    noisy, denoised = (float(re.search(rf"PSNR {label}: *([-\d.]+) dB", run.stdout).group(1))
+                       for label in ("noisy", "denoised"))
+    assert denoised > noisy

@@ -109,6 +109,55 @@ class TestPava:
             assert np.all(pava_solve(sigma, w + c).d <= pava_solve(sigma, w).d + 1e-10)
 
 
+# Sorted spectra with non-descending weights, each of length 4: ties, all-equal
+# weights, zeros, the smallest subnormal and values near the float limit.
+ORDERED_EDGES = [
+    ([3.0, 3.0, 2.0, 2.0], [1.0, 1.0, 1.0, 2.0]),
+    ([5.0, 4.0, 3.0, 1.0], [2.0, 2.0, 2.0, 2.0]),
+    ([0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]),
+    ([2.0, 1.0, 0.0, 0.0], [0.0, 2.0, 2.0, 7.0]),
+    ([5e-324, 5e-324, 5e-324, 0.0], [0.0, 5e-324, 1e-323, 1e-323]),
+    ([1.7e308, 1e308, 1e308, 5e-324], [0.0, 1e308, 1.7e308, 1.7e308]),
+    ([1e308, 1.0, 5e-324, 0.0], [5e-324, 5e-324, 1.0, 1e308]),
+]
+
+
+def ordered_stack(rng, rows):
+    """``ORDERED_EDGES`` then ``rows`` random sorted spectra with non-descending weights."""
+    sigma = np.sort(rng.uniform(0.0, 3.0, (rows, 4)), axis=1)[:, ::-1]
+    w = np.sort(rng.choice([0.0, 0.5, 1.0, 2.5], (rows, 4)) * rng.uniform(0.5, 2.0, (rows, 1)), axis=1)
+    edges = np.array(ORDERED_EDGES)
+    return np.vstack([edges[:, 0], sigma]), np.vstack([edges[:, 1], w])
+
+
+def bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+class TestSpectrumKernel:
+    """``diag.spectrum`` serves both paths: for non-descending weights the
+    projection's first pass returns the closed form, bit for bit."""
+
+    def test_closed_form_bits_one_spectrum(self):
+        sigma, w = ordered_stack(np.random.default_rng(21), 50)
+        for s, v in zip(sigma, w):
+            np.testing.assert_array_equal(bits(diag.spectrum(s, v)), bits(np.maximum(s - v / 2, 0)))
+
+    def test_closed_form_bits_stack(self):
+        sigma, w = ordered_stack(np.random.default_rng(22), 50)
+        d = diag.spectrum(sigma, w)
+        assert d.shape == sigma.shape
+        np.testing.assert_array_equal(bits(d), bits(np.maximum(sigma - w / 2, 0)))
+
+    def test_stack_with_an_unordered_row_is_projected_by_row(self):
+        sigma, w = ordered_stack(np.random.default_rng(23), 20)
+        w[len(ORDERED_EDGES) + 3] = [2.0, 0.0, 1.5, 0.0]  # t = sigma - w/2 ascends
+        d = diag.spectrum(sigma, w)
+        for s, v, row in zip(sigma, w, d):
+            np.testing.assert_array_equal(bits(row), bits(pava_solve(s, v).d))
+        assert np.all(np.diff(d, axis=1) <= 0.0)
+
+
 class TestProjGrad:
     def test_agrees_with_pava(self):
         for sigma, w in [([3.0, 2.0], [4.0, 0.0]), ([3.0, 1.0], [1.0, 3.0])]:

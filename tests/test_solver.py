@@ -18,6 +18,15 @@ def random_orthogonal(rng, n):
     return q * np.sign(np.diag(r))
 
 
+def leading_step(rng, u, s, vt):
+    """t * sigma_1 * delta: delta of unit norm and rank <= 3 in the leading
+    singular subspace of y (where the optimum's spectrum lives), t
+    log-uniform in [1e-9, 1e-3]."""
+    r = int(rng.integers(1, min(s.size, 3) + 1))
+    c = rng.standard_normal((r, r))
+    return 10.0 ** rng.uniform(-9.0, -3.0) * s[0] * (u[:, :r] @ (c / np.linalg.norm(c)) @ vt[:r])
+
+
 class TestObjectiveFull:
     def test_zero_at_exact_fit_zero_weights(self):
         y = np.diag([3.0, 1.0])
@@ -31,6 +40,10 @@ class TestObjectiveFull:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
             objective_full(np.eye(2), np.eye(3), [1, 1])
+
+    def test_overflow_is_inf_without_a_warning(self):
+        # The suite turns warnings into errors, so numpy's overflow warning fails here.
+        assert objective_full(np.full((2, 2), 1e200), np.zeros((2, 2)), [0, 0]) == np.inf
 
     def test_weight_length_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -100,16 +113,21 @@ class TestWnnmSolve:
             y = rng.uniform(-1, 1, size=(m, n))
             w = rng.uniform(0, 2, size=min(m, n))
             r = wnnm_solve(y, w)
+            u, s, vt = np.linalg.svd(y, full_matrices=False)
             for _ in range(20):
-                kind = rng.integers(3)
+                kind = rng.integers(4)
                 if kind == 0:
                     c = r.x_star + rng.normal(0, 0.1, size=y.shape)
                 elif kind == 1:
                     c = y + rng.normal(0, 0.1, size=y.shape)
-                else:
+                elif kind == 2:
                     k = int(rng.integers(1, min(m, n) + 1))
                     c = rng.standard_normal((m, k)) @ rng.standard_normal((k, n))
-                assert r.d.objective <= objective_full(y, c, w) + 1e-6
+                else:
+                    c = r.x_star + leading_step(rng, u, s, vt)
+                # A step along the spectrum is checked to rounding, relative to the optimum.
+                slack = 16 * s.size * np.finfo(float).eps * r.d.objective if kind == 3 else 1e-6
+                assert r.d.objective <= objective_full(y, c, w) + slack
 
 
     @pytest.mark.parametrize("shape", [(6, 4), (3, 7), (5, 5)])
