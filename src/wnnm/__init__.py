@@ -5,7 +5,7 @@ from .diag import DiagSolution, SolverPath, closed_form, pava_solve
 from .exceptions import InvalidInputError, NumericalFailureError, WnnmError
 from .linalg import SvdFactors, svd
 from .pgm import read_pgm, write_pgm
-from .solver import WnnmResult, nnm_solve, objective_full, trace_identity_check, wnnm_solve
+from .solver import WnnmResult, nnm_solve, objective_full, wnnm_solve
 
 __all__ = [
     "DenoiseConfig",
@@ -25,7 +25,6 @@ __all__ = [
     "psnr",
     "read_pgm",
     "svd",
-    "trace_identity_check",
     "wnnm_solve",
     "write_pgm",
 ]

@@ -56,7 +56,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import diag
-from .exceptions import InvalidInputError
+from .exceptions import InvalidInputError, NumericalFailureError
 from .linalg import _positive_count, _positive_real, check_matrix, reconstruct, thin_svd
 
 # Added to each estimated clean singular value so that a zero estimate
@@ -183,13 +183,20 @@ def group_weights(sigma, k, cfg: DenoiseConfig) -> np.ndarray:
     ``k`` is one patch count for every spectrum, or one per spectrum of a
     stack, shaped to broadcast against ``sigma`` (``(n, 1)`` for ``n``
     spectra). The clean singular value is estimated by variance subtraction:
-    sqrt(max(s_i^2 - k * noise_sigma^2, 0)). A noise variance beyond the
-    float range gives infinite weights, which shrink every group to zero.
+    sqrt(max(s_i^2 - k * noise_sigma^2, 0)), on sigma and noise_sigma scaled
+    exactly by t = 2**-600 where the squares leave the float range (inf - inf
+    is NaN). So a noise variance beyond that range gives infinite weights,
+    which shrink a group to zero, unless its spectrum is as far beyond it.
     """
     # A float product overflows to inf where ``**`` would raise.
-    var = cfg.noise_sigma * cfg.noise_sigma
-    s_clean = np.sqrt(np.maximum(sigma**2 - k * var, 0.0))
-    return cfg.weight_constant * np.sqrt(k) * var / (s_clean + EPSILON)
+    t, var = 1.0, cfg.noise_sigma * cfg.noise_sigma
+    excess = sigma**2 - k * var
+    if not np.isfinite(excess).all():
+        t = np.where(np.isfinite(excess), 1.0, 2.0**-600)
+        var = (cfg.noise_sigma * t) ** 2
+        excess = (sigma * t) ** 2 - k * var
+    s_clean = np.sqrt(np.maximum(excess, 0.0))
+    return cfg.weight_constant * np.sqrt(k) * (var / t) / (s_clean + EPSILON * t)
 
 
 def _anchor_grid(extent: int, stride: int) -> list[int]:
@@ -259,6 +266,8 @@ def denoise(img, cfg: DenoiseConfig, stats: DenoiseStats | None = None) -> np.nd
             # border groups to the row's widest; see the module docstring.
             groups = np.where(valid[..., None], flat[members], 0.0)
             factors = thin_svd(np.swapaxes(groups, 1, 2))
+            if not np.isfinite(factors.sigma[:, 0]).all():
+                raise NumericalFailureError("a group's spectrum is beyond the float range")
             weights = group_weights(factors.sigma, sizes[:, None], cfg)
             d = diag.spectrum(factors.sigma, weights)
             d[np.arange(d.shape[1]) >= np.minimum(p * p, sizes)[:, None]] = 0.0
@@ -290,12 +299,13 @@ def denoise(img, cfg: DenoiseConfig, stats: DenoiseStats | None = None) -> np.nd
 
 
 def psnr(a, b) -> float:
-    """Peak signal-to-noise ratio in dB against a 255 peak; inf when equal."""
+    """Peak signal-to-noise ratio in dB against a 255 peak; inf when equal, -inf on overflow."""
     a = check_matrix(a)
     b = check_matrix(b)
     if a.shape != b.shape:
         raise InvalidInputError(f"shape mismatch: {a.shape} vs {b.shape}")
-    mse = float(np.mean((a - b) ** 2))
+    with np.errstate(over="ignore"):  # an overflow gives inf, reported as -inf dB
+        mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(255.0**2 / mse)
+    return 10.0 * math.log10(255.0**2 / mse) if mse < math.inf else -math.inf

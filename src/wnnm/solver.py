@@ -66,38 +66,3 @@ def nnm_solve(y, lam: float) -> WnnmResult:
     factors = svd(y)
     return shrink(factors, np.full(factors.sigma.size, check_array(lam, 0, "lambda", nonneg=True)))
 
-
-@dataclass(frozen=True)
-class TraceIdentityReport:
-    lhs: float
-    rhs_at_svd: float
-    max_probe_gap: float
-
-
-def trace_identity_check(a, w) -> TraceIdentityReport:
-    """Check that tr[diag(w) U^T A V] over orthonormal (U, V) peaks at the
-    SVD factors of A, where it equals sum_i sigma_i(A) * w_i.
-
-    Requires non-ascending w. Turning columns i < j of both factors by
-    +-45 degrees moves only the (i, j) block of B = U^T A V, and at the peak
-    drops the trace by exactly (sigma_i - sigma_j)(w_i - w_j)/2 for either
-    sign; taking both keeps an off-diagonal error in B from cancelling a
-    diagonal one.
-    ``max_probe_gap`` is the largest distance of a drop from its prediction.
-    """
-    a = check_matrix(a)
-    f = thin_svd(a)
-    w = diag._check_weights(w, f.sigma.size)
-    if not diag.weights_non_descending(w[::-1]):
-        raise InvalidInputError("trace identity requires non-ascending weights")
-
-    b = f.u.T @ a @ f.v
-    i, j = np.triu_indices(f.sigma.size, 1)
-    half_dw = (w[i] - w[j]) / 2.0
-    drops = half_dw * (b[i, i] - b[j, j] + np.array([[-1.0], [1.0]]) * (b[i, j] + b[j, i]))
-    predicted = half_dw * (f.sigma[i] - f.sigma[j])
-    return TraceIdentityReport(
-        lhs=float(np.sum(f.sigma * w)),
-        rhs_at_svd=float(np.sum(w * np.diag(b))),
-        max_probe_gap=float(np.max(np.abs(drops - predicted), initial=0.0)),
-    )

@@ -22,11 +22,10 @@ from wnnm import (
     pava_solve,
     psnr,
     svd,
-    trace_identity_check,
     wnnm_solve,
 )
 from wnnm.linalg import reconstruct
-from wnnm.selftest import _grid_oracle, _projgrad
+from wnnm.selftest import _grid_oracle, _projgrad, _trace_identity
 
 
 def report(name, ok):
@@ -134,9 +133,7 @@ def test_criterion_6_trace_identity():
         m, n = int(rng.integers(1, 7)), int(rng.integers(1, 6))
         a = rng.uniform(-1.0, 1.0, size=(m, n))
         w = np.sort(rng.uniform(0.0, 3.0, size=min(m, n)))[::-1].copy()
-        rep = trace_identity_check(a, w)
-        ok &= abs(rep.lhs - rep.rhs_at_svd) <= 1e-8
-        ok &= rep.max_probe_gap <= 1e-8
+        ok &= _trace_identity(a, w) <= 1e-8
     report("trace form peaks at the SVD factors and each turned pair drops it as predicted", ok)
 
 

@@ -1,4 +1,4 @@
-"""Every public function, ``DenoiseConfig`` and the selftest's two reference
+"""Every public function, ``DenoiseConfig`` and the selftest's three private
 routes check their input: one NaN input, one wrong-shape input and, where it
 takes numbers, one input of each kind that is not a real number (text,
 numeric text, complex, an int beyond the float range) each raise
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import wnnm
-from wnnm.selftest import _grid_oracle, _projgrad
+from wnnm.selftest import _grid_oracle, _projgrad, _trace_identity
 
 NAN = float("nan")
 
@@ -39,9 +39,9 @@ CFG = wnnm.DenoiseConfig(noise_sigma=10.0, patch_size=3)
 HUGE = 10**400  # an int beyond the float range
 CPLX = np.array([2.0 + 1.0j, 1.0])  # a numpy complex array, not a list of Python complex
 
-# The selftest's reference routes check their instance as pava_solve does;
+# The selftest's private routes check their input as the public functions do;
 # their rows carry the names the routes had as exports.
-ROUTES = {"brute_force_oracle", "projgrad_reference"}
+ROUTES = {"brute_force_oracle", "projgrad_reference", "trace_identity_check"}
 
 # (public name or route, kind of bad input, call taking pytest's tmp_path)
 CASES = [
@@ -108,12 +108,12 @@ CASES = [
     ("svd", "complex", lambda tmp: wnnm.svd(np.array([[1.0 + 1.0j, 2.0]]))),
     ("svd", "huge-int", lambda tmp: wnnm.svd([[HUGE]])),
     ("svd", "ragged", lambda tmp: wnnm.svd([[1.0, 2.0], [3.0]])),
-    ("trace_identity_check", "nan", lambda tmp: wnnm.trace_identity_check(with_nan((3, 3)), [2.0, 1.0, 0.0])),
-    ("trace_identity_check", "shape", lambda tmp: wnnm.trace_identity_check(np.eye(3), [2.0, 1.0])),
-    ("trace_identity_check", "text", lambda tmp: wnnm.trace_identity_check(np.eye(2), ["a", "b"])),
-    ("trace_identity_check", "real-text", lambda tmp: wnnm.trace_identity_check(np.eye(2), ["2", "1"])),
-    ("trace_identity_check", "complex", lambda tmp: wnnm.trace_identity_check(np.eye(2), CPLX)),
-    ("trace_identity_check", "huge-int", lambda tmp: wnnm.trace_identity_check([[HUGE]], [1.0])),
+    ("trace_identity_check", "nan", lambda tmp: _trace_identity(with_nan((3, 3)), [2.0, 1.0, 0.0])),
+    ("trace_identity_check", "shape", lambda tmp: _trace_identity(np.eye(3), [2.0, 1.0])),
+    ("trace_identity_check", "text", lambda tmp: _trace_identity(np.eye(2), ["a", "b"])),
+    ("trace_identity_check", "real-text", lambda tmp: _trace_identity(np.eye(2), ["2", "1"])),
+    ("trace_identity_check", "complex", lambda tmp: _trace_identity(np.eye(2), CPLX)),
+    ("trace_identity_check", "huge-int", lambda tmp: _trace_identity([[HUGE]], [1.0])),
     ("wnnm_solve", "nan", lambda tmp: wnnm.wnnm_solve(np.eye(2), [1.0, NAN])),
     ("wnnm_solve", "shape", lambda tmp: wnnm.wnnm_solve(np.eye(2), 1.0)),  # 0-d weights
     ("wnnm_solve", "text", lambda tmp: wnnm.wnnm_solve(np.eye(2), ["a", "b"])),
@@ -135,7 +135,7 @@ def test_public_surface_is_pinned():
         "DenoiseConfig", "DenoiseStats", "DiagSolution", "InvalidInputError",
         "NumericalFailureError", "SolverPath", "SvdFactors", "WnnmError", "WnnmResult",
         "closed_form", "denoise", "nnm_solve", "objective_full", "pava_solve", "psnr",
-        "read_pgm", "svd", "trace_identity_check", "wnnm_solve", "write_pgm",
+        "read_pgm", "svd", "wnnm_solve", "write_pgm",
     ]
 
 
@@ -171,7 +171,7 @@ CHECKS = [
     ("psnr", 2, lambda tmp: wnnm.psnr(np.ones((4, 4)), np.zeros((4, 4)))),
     ("read_pgm", 0, lambda tmp: wnnm.read_pgm(good_pgm(tmp))),
     ("svd", 1, lambda tmp: wnnm.svd(np.eye(2))),
-    ("trace_identity_check", 2, lambda tmp: wnnm.trace_identity_check(np.eye(2), [2.0, 1.0])),
+    ("trace_identity_check", 2, lambda tmp: _trace_identity(np.eye(2), [2.0, 1.0])),
     ("write_pgm", 1, lambda tmp: wnnm.write_pgm(tmp / "out.pgm", np.ones((2, 2)))),
     # The known exception: ``shrink`` dispatches the checked weights to the
     # public ``closed_form``/``pava_solve``, which check the spectrum and the

@@ -13,7 +13,6 @@ import wnnm
 import wnnm.cli
 import wnnm.diag
 import wnnm.selftest
-import wnnm.solver
 from wnnm import DenoiseConfig, InvalidInputError, denoise, nnm_solve, read_pgm, write_pgm
 from wnnm.cli import main, read_matrix_csv, write_matrix_csv
 
@@ -411,20 +410,16 @@ class TestSelftest:
         assert "kkt-certificate: FAIL (instance" in stdout and "kkt violation=inf" in stdout
 
     @pytest.mark.parametrize(
-        "module, name, field, suite",
+        "module, name, to_nan, suite",
         [
-            (wnnm.diag, "pava_solve", "objective", "cross-solver"),
-            (wnnm.solver, "trace_identity_check", "max_probe_gap", "trace-identity"),
+            (wnnm.diag, "pava_solve", lambda s: dataclasses.replace(s, objective=float("nan")), "cross-solver"),
+            (wnnm.selftest, "_trace_identity", lambda gap: float("nan"), "trace-identity"),
         ],
         ids=["cross-solver", "trace-identity"],
     )
-    def test_nan_result_fails(self, capsys, monkeypatch, module, name, field, suite):
+    def test_nan_result_fails(self, capsys, monkeypatch, module, name, to_nan, suite):
         real = getattr(module, name)
-
-        def nan_result(*args, **kwargs):
-            return dataclasses.replace(real(*args, **kwargs), **{field: float("nan")})
-
-        monkeypatch.setattr(module, name, nan_result)
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: to_nan(real(*args, **kwargs)))
         code, stdout, _ = run(capsys, "selftest")
         assert code == 1
         assert f"{suite}: FAIL (instance 0: " in stdout

@@ -204,6 +204,15 @@ class TestGroupWeights:
         assert w[1] == pytest.approx(2.0 / 1e-16)
         assert w[0] <= w[1]
 
+    def test_overflowing_squares_scaled_exactly(self):
+        # sigma^2 and noise_sigma^2 overflow: s_clean = sqrt(3) * 1e200, so
+        # w = 2 * 1e400 / s_clean. The last entry's square is in range. The
+        # error state is the one denoise sets for its rows.
+        c = DenoiseConfig(noise_sigma=1e200, weight_constant=2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = group_weights(np.array([2e200, 1e-300]), 1, c)
+        assert w[0] == pytest.approx(2e200 / np.sqrt(3.0), rel=1e-14) and w[1] == np.inf
+
     def test_always_non_descending(self):
         rng = np.random.default_rng(2)
         c = cfg()
@@ -397,11 +406,20 @@ class TestDenoise:
     def test_huge_finite_entries_warn_nothing(self, monkeypatch):
         # The Gram expansion and the squared spectrum overflow; under the
         # suite's filterwarnings = error, a numpy warning would escape. Two
-        # workers: a thread starts with numpy's default error state.
+        # workers: a thread starts with numpy's default error state. In the
+        # last case sigma^2 - k * noise_sigma^2 is inf - inf, which once made
+        # every pixel NaN.
         monkeypatch.setattr(denoise_module, "WORKERS", 2)
         img = np.random.default_rng(10).uniform(1, 2, (16, 16)) * 1e200
-        for c in (DenoiseConfig(noise_sigma=20.0), cfg()):
-            np.testing.assert_array_equal(denoise(img, c), np.full((16, 16), 255.0))
+        cases = [(img, DenoiseConfig(noise_sigma=20.0)), (img, cfg()),
+                 (np.full((20, 20), 100.0) * 1e155, DenoiseConfig(noise_sigma=1e154))]
+        for x, c in cases:
+            np.testing.assert_array_equal(denoise(x, c), np.full(x.shape, 255.0))
+
+    def test_spectrum_beyond_float_range_raises(self):
+        # A 7x7 patch group of 1e307 entries has sigma_1 = 28e307 = inf.
+        with pytest.raises(NumericalFailureError, match="beyond the float range"):
+            denoise(np.full((20, 20), 1e307), DenoiseConfig(noise_sigma=20.0))
 
     def test_patch_too_large(self):
         with pytest.raises(InvalidInputError):
@@ -433,6 +451,28 @@ class TestRowPool:
                     assert other_ranks == ranks
         finally:
             sys.setswitchinterval(interval)
+
+    def test_output_does_not_depend_on_blas_threads(self):
+        # OpenBLAS reads its thread count at import, so each count runs in a
+        # process of its own. Equal, not close: the Gram blocks stay on the
+        # calling thread and each group's SVD is too small to be split.
+        code = (
+            "import hashlib, numpy as np, wnnm\n"
+            "for shape in ((64, 81), (128, 145)):\n"
+            "    img = np.random.default_rng(shape[1]).uniform(0.0, 255.0, shape)\n"
+            "    stats = wnnm.DenoiseStats()\n"
+            "    out = wnnm.denoise(img, wnnm.DenoiseConfig(noise_sigma=20.0), stats=stats)\n"
+            "    print(hashlib.sha256(out.tobytes() + repr(stats.ranks).encode()).hexdigest())\n"
+        )
+        # The subprocess imports the same wnnm package as this test, installed or not.
+        src = os.path.dirname(os.path.dirname(wnnm.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        hashes = [
+            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                           env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=n)).stdout
+            for n in ("1", "2")
+        ]
+        assert len(hashes[0].split()) == 2 and hashes[0] == hashes[1]
 
     def test_rows_run_on_threads(self, monkeypatch):
         # Thread objects, not idents: an exited thread's ident can be reused.
@@ -499,6 +539,12 @@ class TestPsnr:
     def test_unit_difference(self):
         a, b = np.zeros((4, 4)), np.ones((4, 4))
         assert psnr(a, b) == pytest.approx(10 * np.log10(255.0**2), abs=1e-9)
+
+    @pytest.mark.parametrize("big", [1e160, 1e200])
+    def test_overflowing_error_minus_inf(self, big):
+        # The squared difference overflows: no warning, and -inf as the zero
+        # error gives inf.
+        assert psnr(np.zeros((2, 2)), np.full((2, 2), big)) == -np.inf
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):

@@ -9,9 +9,9 @@ from wnnm import (
     SolverPath,
     nnm_solve,
     objective_full,
-    trace_identity_check,
     wnnm_solve,
 )
+from wnnm.selftest import _trace_identity
 
 def random_orthogonal(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
@@ -202,42 +202,33 @@ def turn(m, i, j, theta):
 
 
 def patch_factors(monkeypatch, change):
-    """Make ``trace_identity_check`` see ``change(factors)`` for the SVD."""
-    real = wnnm.solver.thin_svd
-    monkeypatch.setattr(wnnm.solver, "thin_svd", lambda a: change(real(a)))
+    """Make ``_trace_identity`` see ``change(factors)`` for the SVD."""
+    real = wnnm.selftest.thin_svd
+    monkeypatch.setattr(wnnm.selftest, "thin_svd", lambda a: change(real(a)))
 
 
 class TestTraceIdentity:
     def test_diagonal_case(self):
-        rep = trace_identity_check(np.diag([2.0, 1.0]), [3, 1])
-        assert rep.lhs == pytest.approx(7.0)
-        assert rep.rhs_at_svd == pytest.approx(7.0)
-        assert rep.max_probe_gap <= 1e-12
+        assert _trace_identity(np.diag([2.0, 1.0]), [3, 1]) <= 1e-12
 
     def test_zero_matrix(self):
-        rep = trace_identity_check(np.zeros((3, 2)), [1, 0])
-        assert rep.lhs == 0.0 and rep.rhs_at_svd == 0.0 and rep.max_probe_gap == 0.0
+        assert _trace_identity(np.zeros((3, 2)), [1, 0]) == 0.0
 
     def test_one_column_has_no_pair_to_turn(self):
-        rep = trace_identity_check([[3.0], [4.0]], [2.0])
-        assert rep.lhs == pytest.approx(10.0) and rep.max_probe_gap == 0.0
+        # Only the value at the SVD is compared: 2 * 5 against 2 * (u^T a v).
+        assert _trace_identity([[3.0], [4.0]], [2.0]) <= 1e-12
 
     def test_random_factors_never_beat_svd(self):
         # For non-ascending w every predicted drop is >= 0, so no turned
         # pair of the SVD factors of a random matrix beats the peak.
         rng = np.random.default_rng(17)
         a = rng.standard_normal((4, 3))
-        rep = trace_identity_check(a, [2, 1, 0])
-        assert abs(rep.lhs - rep.rhs_at_svd) <= 1e-8
-        assert rep.max_probe_gap <= 1e-8
+        assert _trace_identity(a, [2, 1, 0]) <= 1e-8
 
     @pytest.mark.parametrize("shape", [(6, 5), (40, 30), (200, 150), (150, 200)])
     def test_true_factors_within_bound(self, shape):
         a, w = random_instance(np.random.default_rng(17), shape)
-        rep = trace_identity_check(a, w)
-        bound = probe_bound(a, w)
-        assert abs(rep.lhs - rep.rhs_at_svd) <= bound
-        assert rep.max_probe_gap <= 0.1 * bound
+        assert _trace_identity(a, w) <= 0.1 * probe_bound(a, w)
 
     @pytest.mark.parametrize("factor", ["u", "v"])
     @pytest.mark.parametrize("shape", [(6, 5), (40, 30), (200, 150), (150, 200)])
@@ -249,7 +240,7 @@ class TestTraceIdentity:
             monkeypatch,
             lambda f: dataclasses.replace(f, **{factor: turn(getattr(f, factor), 0, k - 1, 1e-6)}),
         )
-        assert trace_identity_check(a, w).max_probe_gap > probe_bound(a, w)
+        assert _trace_identity(a, w) > probe_bound(a, w)
 
     def test_probe_matches_turning_the_factors(self, monkeypatch):
         # On factors that are not the SVD's, the gap read from B's 2x2 blocks
@@ -267,10 +258,11 @@ class TestTraceIdentity:
                     drop = np.sum(w * np.diag(u.T @ a @ f.v)) - np.sum(w * np.diag(ut.T @ a @ vt))
                     gaps.append(abs(drop - (f.sigma[i] - f.sigma[j]) * (w[i] - w[j]) / 2.0))
         assert max(gaps) > 0.01
-        assert trace_identity_check(a, w).max_probe_gap == pytest.approx(max(gaps), rel=1e-9)
+        at_svd = abs(np.sum(f.sigma * w) - np.sum(w * np.diag(u.T @ a @ f.v)))
+        assert _trace_identity(a, w) == pytest.approx(max(at_svd, *gaps), rel=1e-9)
 
     def test_ascending_weights_rejected(self):
         with pytest.raises(InvalidInputError):
-            trace_identity_check(np.eye(2), [1, 2])
+            _trace_identity(np.eye(2), [1, 2])
         with pytest.raises(InvalidInputError):
-            trace_identity_check(np.eye(2), [1, 1 + 1e-13])
+            _trace_identity(np.eye(2), [1, 1 + 1e-13])
