@@ -27,14 +27,15 @@ everything is array code:
   counts, on flat pixel indices (top-left pixel plus patch offset).
 
 Rows in parallel. A row's groups need nothing from another row until the
-sums, so the rows run in batches of ``WORKERS``, one per CPU in the process's
+sums, so ``WORKERS`` threads run rows at once, one per CPU in the process's
 affinity mask up to ``MAX_WORKERS`` (two: each row in flight holds its own
 distances, so memory grows with the count, and only two were measured). The
-caller takes the first row of a batch and a short-lived thread each of the
-others (LAPACK, BLAS and most numpy passes release the interpreter lock).
-Each thread sets its own numpy error state and keeps its exception for the
-caller. After the join the caller adds the rows' sums and
-ranks in row order, so the output bytes do not depend on ``WORKERS``. Two
+caller and ``WORKERS - 1`` threads started for the call each take the next
+row from one counter, with no barrier between rows (LAPACK, BLAS and most
+numpy passes release the interpreter lock); each thread sets its own numpy
+error state. A finished row waits until the rows before it are added, and
+whichever thread completes that prefix adds the sums and ranks in row
+order, so the output bytes do not depend on ``WORKERS`` or on timing. Two
 choices in ``extract_group`` let two rows share the CPUs: the Gram product
 is built in blocks small enough for OpenBLAS to run on the calling thread (a
 whole-row product, with BLAS at its default threads, woke a BLAS worker that
@@ -65,10 +66,11 @@ EPSILON = 1e-16
 # Rows denoised at once: one per CPU this process may run on, at most
 # MAX_WORKERS. Each row in flight holds its own (anchors x window candidates)
 # distances, so the peak memory grows with the count (at 128^2 the traced
-# peak reads about 1.55, 1.99, 2.3 and 2.7 patch tables for 1 to 4 rows); speed
-# and memory were measured with two rows on two CPUs. The cap also bounds a
-# container whose CPU quota is below its affinity mask, which counts every
-# CPU of the host.
+# peak reads about 1.55, 1.99, 2.3 and 2.7 patch tables for 1 to 4 rows), and
+# up to 2 * WORKERS finished rows wait with their image-sized sums to be
+# added. Speed and memory were measured with two rows on two CPUs, where two
+# beat one. The cap also bounds a container whose CPU quota is below its
+# affinity mask, which counts every CPU of the host.
 MAX_WORKERS = 2
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 WORKERS = min(MAX_WORKERS, _CPUS)
@@ -208,28 +210,49 @@ def _anchor_grid(extent: int, stride: int) -> list[int]:
     return grid
 
 
-def _run_rows(fn, rows: list[int]) -> list:
-    """``[fn(r) for r in rows]``: the first on this thread, each other on a
-    thread of its own. After every join, the first exception in row order
-    is raised."""
-    results = [None] * len(rows)
+def _run_rows(fn, rows: list[int], add) -> None:
+    """``for r in rows: add(fn(r))``, with ``fn`` on ``WORKERS`` threads (this
+    one and ``WORKERS - 1`` started here) and ``add`` in row order, under the
+    lock, by whichever thread completes the prefix of finished rows. A row is
+    taken only while fewer than ``2 * WORKERS`` are taken but not added. After
+    a failure no row is taken; once every thread is joined, the lowest failing
+    row's exception is raised.
+    """
+    cond = threading.Condition()
+    done, errors = {}, {}
+    taken = added = 0
 
-    def run(i):
+    def work():
+        nonlocal taken, added
+        i = -1
         try:
-            results[i] = fn(rows[i])
-        except BaseException as exc:  # raised below, after the join
-            results[i] = exc
+            while True:
+                with cond:
+                    while not errors and taken < len(rows) and taken - added >= 2 * WORKERS:
+                        cond.wait()
+                    if errors or taken == len(rows):
+                        return
+                    i, taken = taken, taken + 1
+                result = fn(rows[i])
+                with cond:
+                    done[i] = result
+                    while added in done:
+                        add(done.pop(added))
+                        added += 1
+                    cond.notify_all()
+        except BaseException as exc:  # raised by the caller, after the join
+            with cond:
+                errors[i] = exc
+                cond.notify_all()
 
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(rows))]
+    threads = [threading.Thread(target=work) for _ in range(min(WORKERS, len(rows)) - 1)]
     for t in threads:
         t.start()
-    run(0)
+    work()
     for t in threads:
         t.join()
-    for res in results:
-        if isinstance(res, BaseException):
-            raise res
-    return results
+    if errors:
+        raise errors[min(errors)]
 
 
 def denoise(img, cfg: DenoiseConfig, stats: DenoiseStats | None = None) -> np.ndarray:
@@ -284,13 +307,16 @@ def denoise(img, cfg: DenoiseConfig, stats: DenoiseStats | None = None) -> np.nd
     # in row order whatever the number of rows in flight.
     acc = np.zeros(h * w)
     cnt = np.zeros(h * w)
-    grid = _anchor_grid(rows, cfg.stride)
-    for start in range(0, len(grid), WORKERS):
-        for sums, counts, ranks in _run_rows(row, grid[start : start + WORKERS]):
-            acc += sums
-            cnt += counts
-            if stats is not None:
-                stats.ranks.extend(ranks)
+    ranks = stats.ranks if stats is not None else []
+
+    def add(result):
+        sums, counts, row_ranks = result
+        with np.errstate(over="ignore"):  # an overflowed sum is +-inf, clamped to 0 or 255
+            np.add(acc, sums, out=acc)
+        np.add(cnt, counts, out=cnt)
+        ranks.extend(row_ranks)
+
+    _run_rows(row, _anchor_grid(rows, cfg.stride), add)
 
     out = img.flatten()
     covered = cnt > 0

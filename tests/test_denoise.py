@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -408,11 +409,12 @@ class TestDenoise:
         # suite's filterwarnings = error, a numpy warning would escape. Two
         # workers: a thread starts with numpy's default error state. In the
         # last case sigma^2 - k * noise_sigma^2 is inf - inf, which once made
-        # every pixel NaN.
+        # every pixel NaN. In the fourth the rows' sums overflow as they are added.
         monkeypatch.setattr(denoise_module, "WORKERS", 2)
         img = np.random.default_rng(10).uniform(1, 2, (16, 16)) * 1e200
         cases = [(img, DenoiseConfig(noise_sigma=20.0)), (img, cfg()),
-                 (np.full((20, 20), 100.0) * 1e155, DenoiseConfig(noise_sigma=1e154))]
+                 (np.full((20, 20), 100.0) * 1e155, DenoiseConfig(noise_sigma=1e154)),
+                 (np.random.default_rng(0).uniform(0, 1e306, (20, 20)), DenoiseConfig(noise_sigma=1.0))]
         for x, c in cases:
             np.testing.assert_array_equal(denoise(x, c), np.full(x.shape, 255.0))
 
@@ -435,22 +437,35 @@ class TestRowPool:
         stats = DenoiseStats()
         return denoise(img, c, stats=stats), stats.ranks
 
-    def test_output_does_not_depend_on_workers(self, monkeypatch):
-        # Equal, not close: the sums are added in row order. A short switch
-        # interval makes the threads interleave often.
-        noisy = np.clip(128.0 + np.random.default_rng(12).normal(0.0, 20.0, (64, 64)), 0.0, 255.0)
-        cases = [reference_case(case) for case in REFERENCE_CASES]
+    @staticmethod
+    def on_row_start(monkeypatch, start):
+        """Calls ``start(row)`` as each row begins with its ``extract_group``."""
+        real = denoise_module.extract_group
+
+        def extract(table, sq_norms, row, cols, c):
+            start(row)
+            return real(table, sq_norms, row, cols, c)
+
+        monkeypatch.setattr(denoise_module, "extract_group", extract)
+
+    @pytest.fixture
+    def short_switch(self):
+        # A short switch interval makes the threads interleave often.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
-        try:
-            for img, c in cases + [(noisy, DenoiseConfig(noise_sigma=20.0))]:
-                out, ranks = self.run(monkeypatch, 1, img, c)
-                for workers in (2, 3):
-                    other, other_ranks = self.run(monkeypatch, workers, img, c)
-                    np.testing.assert_array_equal(other, out)
-                    assert other_ranks == ranks
-        finally:
-            sys.setswitchinterval(interval)
+        yield
+        sys.setswitchinterval(interval)
+
+    def test_output_does_not_depend_on_workers(self, monkeypatch, short_switch):
+        # Equal, not close: the sums are added in row order.
+        noisy = np.clip(128.0 + np.random.default_rng(12).normal(0.0, 20.0, (64, 64)), 0.0, 255.0)
+        cases = [reference_case(case) for case in REFERENCE_CASES]
+        for img, c in cases + [(noisy, DenoiseConfig(noise_sigma=20.0))]:
+            out, ranks = self.run(monkeypatch, 1, img, c)
+            for workers in (2, 3):
+                other, other_ranks = self.run(monkeypatch, workers, img, c)
+                np.testing.assert_array_equal(other, out)
+                assert other_ranks == ranks
 
     def test_output_does_not_depend_on_blas_threads(self):
         # OpenBLAS reads its thread count at import, so each count runs in a
@@ -475,16 +490,68 @@ class TestRowPool:
         assert len(hashes[0].split()) == 2 and hashes[0] == hashes[1]
 
     def test_rows_run_on_threads(self, monkeypatch):
+        # The first three SVDs wait for each other, so three rows are in
+        # flight at once (a timeout breaks the barrier and fails the call).
         # Thread objects, not idents: an exited thread's ident can be reused.
-        real, threads = denoise_module.thin_svd, set()
+        real, threads, calls = denoise_module.thin_svd, set(), itertools.count()
+        barrier = threading.Barrier(3, timeout=10)
 
         def recording_svd(y):
-            threads.add(threading.current_thread())
+            if next(calls) < 3:
+                threads.add(threading.current_thread())
+                barrier.wait()
             return real(y)
 
         monkeypatch.setattr(denoise_module, "thin_svd", recording_svd)
         self.run(monkeypatch, 3, np.zeros((16, 16)), cfg())
-        assert len(threads) >= 3  # the caller and two threads of a batch
+        assert len(threads) == 3  # the caller and the two threads of the pool
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_slow_row_bounds_rows_taken(self, monkeypatch, short_switch, workers):
+        # Row 0's SVD waits until row 2 * workers - 1 reaches its own, so the
+        # rows after it finish first and wait to be added (with stride 1, row
+        # r is the r-th); each row is added with its ranks.
+        real_svd, lock, local, last = denoise_module.thin_svd, threading.Lock(), threading.local(), 2 * workers - 1
+        reached = threading.Event()
+        seen = dict(started=0, active=0, max_active=0, max_pending=0, added=0, threads=set())
+
+        class Ranks(list):
+            def extend(self, ranks):
+                seen["added"] += 1
+                super().extend(ranks)
+
+        def start(row):
+            local.row = row
+            with lock:
+                seen["started"] += 1
+                seen["active"] += 1
+                seen["max_active"] = max(seen["max_active"], seen["active"])
+                seen["max_pending"] = max(seen["max_pending"], seen["started"] - seen["added"])
+                seen["threads"].add(threading.current_thread())
+
+        def svd(y):
+            if local.row == last:
+                reached.set()
+            if local.row == 0:
+                assert reached.wait(timeout=10)
+            try:
+                return real_svd(y)
+            finally:
+                with lock:
+                    seen["active"] -= 1
+
+        img, c = np.random.default_rng(3).uniform(0.0, 255.0, (16, 16)), cfg()
+        out, ranks = self.run(monkeypatch, 1, img, c)
+        self.on_row_start(monkeypatch, start)
+        monkeypatch.setattr(denoise_module, "thin_svd", svd)
+        monkeypatch.setattr(denoise_module, "WORKERS", workers)
+        stats = DenoiseStats(ranks=Ranks())
+        np.testing.assert_array_equal(denoise(img, c, stats=stats), out)
+        assert stats.ranks == ranks and seen["added"] == seen["started"] == 14
+        # At most ``workers`` rows in flight, each thread running one at a time.
+        assert seen["max_active"] <= workers and len(seen["threads"]) <= workers
+        # The bound on rows taken but not added is reached and holds.
+        assert seen["max_pending"] == 2 * workers
 
     def test_peak_memory_at_most_workers(self, monkeypatch):
         # Each row in flight holds its own distances, so the peak grows with
@@ -496,22 +563,46 @@ class TestRowPool:
 
     @pytest.fixture
     def second_svd_fails(self, monkeypatch):
-        # The second row to reach its SVD fails, on whichever thread runs it.
-        real, calls = denoise_module.thin_svd, itertools.count()
+        # The second SVD call fails, on whichever thread makes it; the first
+        # waits until then and a while after, so the failure is recorded
+        # before that row ends. No row may start after it.
+        real, calls, started, failed = denoise_module.thin_svd, itertools.count(), [], threading.Event()
 
         def failing_svd(y):
             if next(calls) == 1:
+                failed.set()
                 raise NumericalFailureError("SVD did not converge")
+            if failed.wait(timeout=10):
+                time.sleep(0.2)
             return real(y)
 
+        self.on_row_start(monkeypatch, started.append)
         monkeypatch.setattr(denoise_module, "thin_svd", failing_svd)
         monkeypatch.setattr(denoise_module, "WORKERS", 2)
         before = threading.active_count()
         yield
         assert threading.active_count() == before
+        assert len(started) == 2  # the two rows in flight when the failure came
 
     def test_worker_error_raised_after_join(self, second_svd_fails):
         with pytest.raises(NumericalFailureError, match="SVD did not converge"):
+            denoise(np.zeros((16, 16)), cfg())
+
+    def test_lowest_failing_row_raised(self, monkeypatch, short_switch):
+        # Row 1 fails first, then row 0: row 0's error is raised.
+        local, row1_failed = threading.local(), threading.Event()
+
+        def failing_svd(y):
+            if local.row == 1:
+                row1_failed.set()
+                raise NumericalFailureError("row 1")
+            assert row1_failed.wait(timeout=10)
+            raise NumericalFailureError("row 0")
+
+        self.on_row_start(monkeypatch, lambda row: setattr(local, "row", row))
+        monkeypatch.setattr(denoise_module, "thin_svd", failing_svd)
+        monkeypatch.setattr(denoise_module, "WORKERS", 2)
+        with pytest.raises(NumericalFailureError, match="row 0"):
             denoise(np.zeros((16, 16)), cfg())
 
     def test_worker_error_exits_3_with_one_line(self, second_svd_fails, tmp_path, capsys):
