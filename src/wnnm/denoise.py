@@ -17,11 +17,12 @@ everything is array code:
   check: the image is checked once) takes all of the row's groups, the border
   groups (fewer than K patches in the window) padded with zero columns.
   That is exact: zero columns leave a group's min(p*p, k) singular values
-  unchanged and add only zeros, whose ``d`` is set to 0 (LAPACK can return
-  them at rounding level, which a tiny noise level would not shrink away).
-  The weights (inverse estimated clean singular value, each group with its
-  own k) are non-descending, so the ordered stack takes the spectrum
-  kernel's first-pass exit; one batched ``reconstruct`` gives the estimates.
+  unchanged and add only zeros, whose weight is infinite, so the kernel
+  returns 0 (LAPACK can return them at rounding level, which a tiny noise
+  level would not shrink away). The weights (inverse estimated clean
+  singular value, each group with its own k) are non-descending, so the
+  ordered stack takes the kernel's first-pass exit; one batched
+  ``reconstruct`` gives the estimates.
 * Aggregation. Each member's estimate is summed straight onto the pixels
   it covers: one ``np.bincount`` per row for the sums and one for the
   counts, on flat pixel indices (top-left pixel plus patch offset).
@@ -57,7 +58,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import diag
-from .exceptions import InvalidInputError, NumericalFailureError
+from .exceptions import InvalidInputError
 from .linalg import _positive_count, _positive_real, check_matrix, reconstruct, thin_svd
 
 # Added to each estimated clean singular value so that a zero estimate
@@ -289,11 +290,9 @@ def denoise(img, cfg: DenoiseConfig, stats: DenoiseStats | None = None) -> np.nd
             # border groups to the row's widest; see the module docstring.
             groups = np.where(valid[..., None], flat[members], 0.0)
             factors = thin_svd(np.swapaxes(groups, 1, 2))
-            if not np.isfinite(factors.sigma[:, 0]).all():
-                raise NumericalFailureError("a group's spectrum is beyond the float range")
             weights = group_weights(factors.sigma, sizes[:, None], cfg)
+            weights[np.arange(weights.shape[1]) >= np.minimum(p * p, sizes)[:, None]] = np.inf
             d = diag.spectrum(factors.sigma, weights)
-            d[np.arange(d.shape[1]) >= np.minimum(p * p, sizes)[:, None]] = 0.0
             estimates = np.swapaxes(reconstruct(factors, d), 1, 2)[valid]
             m = members[valid]
             pix = ((m // cols * w + m % cols)[:, None] + offsets).ravel()

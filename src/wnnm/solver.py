@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diag
-from .diag import DiagSolution
+from .diag import DiagSolution, SolverPath
 from .exceptions import InvalidInputError
 from .linalg import SvdFactors, check_array, check_matrix, reconstruct, svd, thin_svd
 
@@ -24,7 +24,8 @@ class WnnmResult:
 
 
 def objective_full(y, x, w) -> float:
-    """||y - x||_F^2 plus the weighted nuclear norm of x."""
+    """||y - x||_F^2 plus the weighted nuclear norm of x; an ``x`` whose
+    spectrum is beyond the float range raises ``NumericalFailureError``."""
     y = check_matrix(y)
     x = check_matrix(x)
     if y.shape != x.shape:
@@ -37,20 +38,15 @@ def objective_full(y, x, w) -> float:
 
 
 def shrink(factors: SvdFactors, w) -> WnnmResult:
-    """Apply the WNNM operator to the matrix whose thin SVD is ``factors``.
-
-    The weights, which have passed the weights rule, pick the path label:
-    the closed form when non-descending, else PAVA; both run the one kernel,
-    ``diag.spectrum``. ``d.objective``, the spectrum objective of ``d.d``,
-    equals the full objective at ``x_star``, which shares the input's
-    singular vectors; ``objective_full`` is the independent check. The
-    public solver re-checks the weights only because perfbench counts its
-    calls; once it no longer does, ``solve(...)`` becomes ``diag._solve``.
+    """Apply the WNNM operator to the matrix whose thin SVD is ``factors``,
+    for weights that passed the weights rule, checking nothing again. Their
+    order labels the path (closed form when non-descending, else PAVA); both
+    run the one kernel, ``diag.spectrum``. ``d.objective`` equals the full
+    objective at ``x_star``; ``objective_full`` is the independent check.
     """
-    solve = diag.closed_form if diag.weights_non_descending(w) else diag.pava_solve
-    sol = solve(factors.sigma, w)
-    x_star = reconstruct(factors, sol.d)
-    return WnnmResult(x_star=x_star, d=sol)
+    path = SolverPath.CLOSED_FORM if diag.weights_non_descending(w) else SolverPath.PAVA
+    sol = diag._solve(factors.sigma, w, path)
+    return WnnmResult(x_star=reconstruct(factors, sol.d), d=sol)
 
 
 def wnnm_solve(y, w) -> WnnmResult:

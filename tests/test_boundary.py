@@ -157,8 +157,9 @@ def test_bad_input_rejected(call, tmp_path):
 
 # Each outside value is checked once: the number of ``check_array`` calls that
 # one valid call of each public function or route makes, a real's through
-# ``_positive_real``. Values the package computes (LAPACK's spectrum, the
-# kernel's output, ``nnm_solve``'s weight vector) are not checked again.
+# ``_positive_real``. Values the package computes (the kernel's output,
+# ``nnm_solve``'s weight vector) are not checked again, and LAPACK's spectrum
+# only where it enters, in ``thin_svd``, for overflow.
 # (public name or route, expected calls, valid call taking pytest's tmp_path)
 CHECKS = [
     ("brute_force_oracle", 2, lambda tmp: _grid_oracle([2.0, 1.0], [1.0, 0.0])),
@@ -173,12 +174,8 @@ CHECKS = [
     ("svd", 1, lambda tmp: wnnm.svd(np.eye(2))),
     ("trace_identity_check", 2, lambda tmp: _trace_identity(np.eye(2), [2.0, 1.0])),
     ("write_pgm", 1, lambda tmp: wnnm.write_pgm(tmp / "out.pgm", np.ones((2, 2)))),
-    # The known exception: ``shrink`` dispatches the checked weights to the
-    # public ``closed_form``/``pava_solve``, which check the spectrum and the
-    # weights again. It keeps that dispatch only because perfbench counts
-    # those calls; once ``shrink`` calls ``diag._solve``, both become 2.
-    ("wnnm_solve", 4, lambda tmp: wnnm.wnnm_solve(np.eye(2), [1.0, 0.0])),
-    ("nnm_solve", 4, lambda tmp: wnnm.nnm_solve(np.eye(2), 1.0)),
+    ("wnnm_solve", 2, lambda tmp: wnnm.wnnm_solve(np.eye(2), [1.0, 0.0])),
+    ("nnm_solve", 2, lambda tmp: wnnm.nnm_solve(np.eye(2), 1.0)),
 ]
 
 

@@ -180,6 +180,17 @@ class TestSolve:
             assert code == 3 and err == "numerical error: non-finite result (objective inf)\n"
             assert "objective" not in stdout and not out.exists()
 
+    def test_spectrum_beyond_float_range_exit_3(self, tmp_path, capsys):
+        # Finite entries, but sigma_1 = 3e308 overflows: a numerical failure
+        # of the package's own SVD, not bad input.
+        m = write_csv(tmp_path / "m.csv", "1e308,1e308,1e308\n" * 3)
+        w = write_csv(tmp_path / "w.csv", "0,0,0\n")
+        out = tmp_path / "x.csv"
+        for inputs in (["--lambda", "1"], ["--weights", w]):
+            code, stdout, err = run(capsys, "solve", "--matrix", m, *inputs, "--out", str(out))
+            assert code == 3 and stdout == "" and not out.exists()
+            assert err == "numerical error: the spectrum is beyond the float range\n"
+
     def test_descending_weights_take_pava(self, tmp_path, capsys):
         m = write_csv(tmp_path / "m.csv", "3,0\n0,2\n")
         w = write_csv(tmp_path / "w.csv", "4,0\n")

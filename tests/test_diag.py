@@ -110,7 +110,9 @@ class TestPava:
 
 
 # Sorted spectra with non-descending weights, each of length 4: ties, all-equal
-# weights, zeros, the smallest subnormal and values near the float limit.
+# weights, zeros, the smallest subnormal, values near the float limit, and
+# infinite weights at the end (the denoiser's padded positions), whose
+# targets are -inf and whose d is exactly 0.
 ORDERED_EDGES = [
     ([3.0, 3.0, 2.0, 2.0], [1.0, 1.0, 1.0, 2.0]),
     ([5.0, 4.0, 3.0, 1.0], [2.0, 2.0, 2.0, 2.0]),
@@ -119,6 +121,9 @@ ORDERED_EDGES = [
     ([5e-324, 5e-324, 5e-324, 0.0], [0.0, 5e-324, 1e-323, 1e-323]),
     ([1.7e308, 1e308, 1e308, 5e-324], [0.0, 1e308, 1.7e308, 1.7e308]),
     ([1e308, 1.0, 5e-324, 0.0], [5e-324, 5e-324, 1.0, 1e308]),
+    ([3.0, 2.0, 1e-15, 0.0], [1.0, 1.0, np.inf, np.inf]),
+    ([1.7e308, 1e308, 1.0, 5e-324], [0.0, 1e308, 1e308, np.inf]),
+    ([0.0, 0.0, 0.0, 0.0], [np.inf, np.inf, np.inf, np.inf]),
 ]
 
 
@@ -151,10 +156,17 @@ class TestSpectrumKernel:
 
     def test_stack_with_an_unordered_row_is_projected_by_row(self):
         sigma, w = ordered_stack(np.random.default_rng(23), 20)
-        w[len(ORDERED_EDGES) + 3] = [2.0, 0.0, 1.5, 0.0]  # t = sigma - w/2 ascends
+        i = len(ORDERED_EDGES)
+        w[i + 3] = [2.0, 0.0, 1.5, 0.0]  # t = sigma - w/2 ascends
+        # t = [0.5, 1.9, -inf, -inf]: the finite part ascends, and the
+        # infinite weights still give exact zeros.
+        sigma[i + 5], w[i + 5] = [2.0, 1.9, 1.0, 0.5], [3.0, 0.0, np.inf, np.inf]
         d = diag.spectrum(sigma, w)
         for s, v, row in zip(sigma, w, d):
-            np.testing.assert_array_equal(bits(row), bits(pava_solve(s, v).d))
+            k = np.count_nonzero(np.isfinite(v))  # pava_solve takes finite weights only
+            np.testing.assert_array_equal(bits(row[:k]), bits(pava_solve(s[:k], v[:k]).d))
+            np.testing.assert_array_equal(bits(row[k:]), bits(np.zeros(row.size - k)))
+        np.testing.assert_array_equal(d[i + 5], [1.2, 1.2, 0.0, 0.0])
         assert np.all(np.diff(d, axis=1) <= 0.0)
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from wnnm import (
     DenoiseConfig,
     InvalidInputError,
+    NumericalFailureError,
     denoise,
     nnm_solve,
     objective_full,
@@ -50,6 +51,15 @@ def test_svd_hand_computed_singular_values():
 def test_svd_rejects_nonfinite():
     with pytest.raises(InvalidInputError):
         svd(np.array([[1.0, np.nan]]))
+
+
+def test_spectrum_beyond_float_range_raises():
+    # Finite entries whose sigma_1 = 3e308 is not: the package computed the
+    # overflow, so it is a numerical failure, not bad input.
+    big = np.full((3, 3), 1e308)
+    for factor in (lambda: svd(big), lambda: thin_svd(np.stack([np.eye(3), big]))):
+        with pytest.raises(NumericalFailureError, match="beyond the float range"):
+            factor()
 
 
 @pytest.mark.parametrize("a, expected", [

@@ -6,6 +6,7 @@ import pytest
 import wnnm
 from wnnm import (
     InvalidInputError,
+    NumericalFailureError,
     SolverPath,
     nnm_solve,
     objective_full,
@@ -48,6 +49,13 @@ class TestObjectiveFull:
     def test_weight_length_rejected(self):
         with pytest.raises(InvalidInputError):
             objective_full(np.eye(3), np.eye(3), [1, 1])
+
+    def test_spectrum_beyond_float_range_raises(self):
+        # x's sigma_1 = 3e308 is not finite; without the check, the weighted
+        # sum would warn and return NaN.
+        x = np.full((3, 3), 1e308)
+        with pytest.raises(NumericalFailureError, match="beyond the float range"):
+            objective_full(x, x, [0, 0, 0])
 
 
 class TestWnnmSolve:
