@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Generate a noisy stripe fixture, denoise it, and report PSNR, the wall
+"""Generate a noisy 8-bit stripe fixture, denoise it, and report PSNR, the wall
 time of the first (cold) and a second (warm) ``denoise`` call on the same
 input with the number of rows it runs at once (``WORKERS``), and the peak
 resident set size of the process.
@@ -29,7 +29,9 @@ def main():
     rng = np.random.default_rng(args.seed)
     stripe = 107.0 + 80.0 * np.sin(np.arange(args.size) * 0.35)
     clean = np.outer(np.ones(args.size), stripe)
-    noisy = np.clip(clean + rng.normal(0.0, args.sigma, clean.shape), 0.0, 255.0)
+    # 8-bit pixels, as in the noisy PGM written below: ``wnnm denoise`` on that
+    # file gives the same output and runs the same (float32) block matching.
+    noisy = np.clip(np.rint(clean + rng.normal(0.0, args.sigma, clean.shape)), 0.0, 255.0)
 
     cfg = DenoiseConfig(noise_sigma=args.sigma)
     stats = DenoiseStats()

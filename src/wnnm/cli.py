@@ -14,7 +14,6 @@ import numpy as np
 from .denoise import DenoiseConfig, DenoiseStats, denoise, psnr
 from .exceptions import InvalidInputError, NumericalFailureError, WnnmError
 from .pgm import read_pgm, write_pgm
-from .selftest import run_selftest
 from .solver import nnm_solve, wnnm_solve
 
 EXIT_OK = 0
@@ -92,6 +91,12 @@ def cmd_denoise(args) -> int:
     return EXIT_OK
 
 
+def cmd_selftest(args) -> int:
+    from .selftest import run_selftest  # here, so that no other command pays for its import
+
+    return run_selftest(args.seed, args.scale)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wnnm", description="Weighted nuclear norm minimization toolkit"
@@ -122,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the seeded verification suites")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--scale", choices=["small", "full"], default="small")
-    p.set_defaults(func=lambda args: run_selftest(args.seed, args.scale))
+    p.set_defaults(func=cmd_selftest)
     return parser
 
 

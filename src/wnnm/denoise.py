@@ -8,11 +8,24 @@ everything is array code:
 * Block matching (``extract_group``). One matmul of the row's anchor
   patches against every patch in the rows their search windows cover gives
   the Gram distances ||a||^2 + ||b||^2 - 2 a.b; as each window spans all of
-  those rows, an (anchors x columns) mask sets the rest to +inf. They carry
-  rounding, so they only shortlist: each anchor keeps the candidates within
-  twice the expansion's rounding bound of its group's K-th Gram distance.
-  The exact squared distances of the shortlist are recomputed, and one
-  lexsort on (anchor, exact distance, scan index) picks the members.
+  those rows, an (anchors x columns) mask sets the rest to +inf. One lexsort
+  on (anchor, exact distance, scan index) then picks the members, from one
+  of two tables, chosen once per image:
+
+  - float32, for an image whose every entry is an integer with
+    2 p max|x| < 2**12 (every 8-bit image at p <= 7). Each product and
+    partial sum of the expansion is then an integer of magnitude at most
+    4 p^2 max|x|^2 < 2**24, exact in float32 in any BLAS order, with or
+    without FMA: the Gram distances are the exact ones. Each anchor keeps
+    the candidates up to its group's K-th distance and reads their
+    distances from the Gram array.
+  - float64, for any other image. The Gram distances carry rounding, so
+    they only shortlist: each anchor keeps the candidates within twice the
+    expansion's rounding bound of its K-th Gram distance, and the exact
+    squared distances of the shortlist are recomputed.
+
+  The float32 table halves the patch table and the distances, and a
+  tie-heavy image (every tied candidate is shortlisted) gathers no patches.
 * Shrinkage. One ``thin_svd`` call (the core of ``svd``, without its input
   check: the image is checked once) takes all of the row's groups, the border
   groups (fewer than K patches in the window) padded with zero columns.
@@ -67,7 +80,8 @@ EPSILON = 1e-16
 # Rows denoised at once: one per CPU this process may run on, at most
 # MAX_WORKERS. Each row in flight holds its own (anchors x window candidates)
 # distances, so the peak memory grows with the count (at 128^2 the traced
-# peak reads about 1.55, 1.99, 2.3 and 2.7 patch tables for 1 to 4 rows), and
+# peak reads about 1.55, 1.99, 2.3 and 2.7 float64 patch tables for 1 to 4
+# rows on a float image, and 0.85, 1.14, 1.38 and 1.66 on an 8-bit one), and
 # up to 2 * WORKERS finished rows wait with their image-sized sums to be
 # added. Speed and memory were measured with two rows on two CPUs, where two
 # beat one. The cap also bounds a container whose CPU quota is below its
@@ -76,7 +90,7 @@ MAX_WORKERS = 2
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 WORKERS = min(MAX_WORKERS, _CPUS)
 # OpenBLAS runs a gemm of at most 65536 * 4 multiply-adds (M * N * K) on one
-# thread (interface/gemm.c, GEMM_MULTITHREAD_THRESHOLD).
+# thread, sgemm and dgemm alike (interface/gemm.c, GEMM_MULTITHREAD_THRESHOLD).
 GEMM_BLOCK = 2**18
 # Anchors whose K-th distance one np.partition call takes.
 PARTITION_ROWS = 4
@@ -126,6 +140,13 @@ def extract_group(
     patches; that group takes all of them and its row is padded with -1.
     ``sq_norms`` holds the squared norm of every patch in ``table``. The
     anchors must lie in the patch grid, as ``denoise``'s anchor grid does.
+
+    The table's dtype picks the path (see the module docstring). A float32
+    table must hold integers with 2 p max|x| < 2**12: its Gram distances are
+    then exact, so the shortlist takes no rounding bound and its distances
+    are read from the Gram array, not recomputed. A float64 table's Gram
+    distances only shortlist, within a rounding bound, and the shortlist's
+    exact distances are recomputed.
     """
     rows, n_cols, npix = table.shape
     cols = np.asarray(cols)
@@ -143,7 +164,7 @@ def extract_group(
 
     # In place: this (anchors, candidates) array is the row's working set,
     # its product built in blocks of candidates (see the module docstring).
-    fast = np.empty((cols.size, cand.shape[0]))
+    fast = np.empty((cols.size, cand.shape[0]), table.dtype)
     scaled = -2.0 * anchors
     step = max(1, GEMM_BLOCK // (cols.size * npix))
     for j in range(0, cand.shape[0], step):
@@ -152,22 +173,29 @@ def extract_group(
     fast3 += np.where(in_cols, a_norms[:, None], np.inf)[:, None, :]
     fast3 += cand_norms
     fast[np.arange(cols.size), own] = -np.inf
-    kth_fast = np.empty(cols.size)
+    kth_fast = np.empty(cols.size, table.dtype)
     for i in range(0, cols.size, PARTITION_ROWS):
         part = np.partition(fast[i : i + PARTITION_ROWS], k_max - 1, axis=1)
         kth_fast[i : i + PARTITION_ROWS] = part[:, k_max - 1]
-    # The Gram distance, (-2 a.b + |a|^2) + |b|^2 in that order, and the exact
-    # distance below both round by about (npix + 2) * eps * (|a|^2 + |b|^2);
+    # A float32 table's Gram distances are exact (see the docstring). From a
+    # float64 one, the Gram distance, (-2 a.b + |a|^2) + |b|^2 in that order, and
+    # the exact distance below both round by about (npix + 2) * eps * (|a|^2 + |b|^2);
     # ``bound`` covers their gap, so no member lies beyond K-th + 2 * bound.
-    bound = 4.0 * (npix + 2) * np.finfo(float).eps * (a_norms + cand_norms.max())
+    exact = table.dtype == np.float32
+    bound = 0.0
+    if not exact:
+        bound = 4.0 * (npix + 2) * np.finfo(float).eps * (a_norms + cand_norms.max())
     # "not >" also keeps NaN (an overflowed expansion) and, when the window
     # holds fewer than K patches, +inf; the column mask trims both to the window.
     keep = ~(fast3 > (kth_fast + 2.0 * bound)[:, None, None])
     keep &= in_cols[:, None, :]
 
     a_idx, c_idx = np.divmod(np.flatnonzero(keep), cand.shape[0])
-    diff = cand[c_idx] - anchors[a_idx]
-    dist = np.einsum("ij,ij->i", diff, diff)
+    if exact:
+        dist = fast[a_idx, c_idx]
+    else:
+        diff = cand[c_idx] - anchors[a_idx]
+        dist = np.einsum("ij,ij->i", diff, diff)
     dist[c_idx == own[a_idx]] = -1.0  # the anchor first
     # a_idx is sorted already and stays in place.
     c_idx = c_idx[np.lexsort((c_idx, dist, a_idx))]
@@ -268,8 +296,11 @@ def denoise(img, cfg: DenoiseConfig, stats: DenoiseStats | None = None) -> np.nd
     if p > min(h, w):
         raise InvalidInputError(f"patch_size {p} exceeds image extent {h}x{w}")
     rows, cols = h - p + 1, w - p + 1
-    # Every p x p patch, flattened: entry [i, j] has its top-left corner at (i, j).
-    table = sliding_window_view(img, (p, p)).reshape(rows, cols, p * p)
+    # Every p x p patch, flattened: entry [i, j] has its top-left corner at (i, j),
+    # in float32 where that makes block matching exact (see the module docstring).
+    exact = 2 * p * float(np.abs(img).max()) < 2**12 and (np.rint(img) == img).all()
+    table = sliding_window_view(img.astype(np.float32) if exact else img, (p, p))
+    table = table.reshape(rows, cols, p * p)
     flat = table.reshape(rows * cols, p * p)
     sq_norms = np.einsum("ijk,ijk->ij", table, table)
     anchor_cols = np.array(_anchor_grid(cols, cfg.stride))
@@ -286,9 +317,10 @@ def denoise(img, cfg: DenoiseConfig, stats: DenoiseStats | None = None) -> np.nd
             members = extract_group(table, sq_norms, r, anchor_cols, cfg)
             valid = members >= 0
             sizes = np.count_nonzero(valid, axis=1)
-            # Stack of (pixels, members) group matrices. Zero columns pad the
-            # border groups to the row's widest; see the module docstring.
-            groups = np.where(valid[..., None], flat[members], 0.0)
+            # Stack of (pixels, members) group matrices, in float64 whatever the
+            # table's dtype. Zero columns pad the border groups to the row's
+            # widest; see the module docstring.
+            groups = np.where(valid[..., None], flat[members], 0.0).astype(float, copy=False)
             factors = thin_svd(np.swapaxes(groups, 1, 2))
             weights = group_weights(factors.sigma, sizes[:, None], cfg)
             weights[np.arange(weights.shape[1]) >= np.minimum(p * p, sizes)[:, None]] = np.inf

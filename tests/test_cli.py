@@ -463,9 +463,8 @@ def test_read_matrix_csv_parses_or_rejects_any_bytes(tmp_path_factory, data):
     assert m.ndim == 2 and m.size >= 1 and m.dtype == float
 
 
-def test_cli_import_adds_only_stdlib_modules():
-    # perfbench's setup_s times ``import wnnm.cli`` in a fresh process: past
-    # numpy, that import may load only the package and the standard library.
+def modules_added_by_cli_import():
+    """The modules that ``import wnnm.cli`` loads past numpy, in a fresh process."""
     code = (
         "import json, sys, numpy\n"
         "before = set(sys.modules)\n"
@@ -475,7 +474,20 @@ def test_cli_import_adds_only_stdlib_modules():
     src = os.path.dirname(os.path.dirname(wnnm.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True)
-    added = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+def test_cli_import_adds_only_stdlib_modules():
+    # perfbench's setup_s times ``import wnnm.cli`` in a fresh process: past
+    # numpy, that import may load only the package and the standard library.
+    added = modules_added_by_cli_import()
     assert "wnnm.cli" in added
     foreign = [m for m in added if m.partition(".")[0] not in {"wnnm", *sys.stdlib_module_names}]
     assert foreign == []
+
+
+def test_cli_import_leaves_selftest_unloaded():
+    # Only ``wnnm selftest`` needs the suites, so ``wnnm solve``/``wnnm denoise``
+    # start without importing them.
+    added = modules_added_by_cli_import()
+    assert "wnnm.cli" in added and "wnnm.selftest" not in added

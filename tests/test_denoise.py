@@ -83,9 +83,16 @@ def patch_table(img, p):
     return sliding_window_view(img, (p, p)).reshape(h - p + 1, w - p + 1, p * p)
 
 
-def peak_in_patch_tables():
-    """Traced peak of a default 128^2 ``denoise``, in patch tables."""
+def noisy_128(integer=False):
+    """A 128^2 image of uniform noise on [0, 255], rounded to integers if ``integer``."""
     img = np.random.default_rng(9).uniform(0, 255, size=(128, 128))
+    return np.rint(img) if integer else img
+
+
+def peak_in_patch_tables(img=None):
+    """Traced peak of a default ``denoise`` of ``img`` (``noisy_128()`` if
+    None), in float64 patch tables."""
+    img = noisy_128() if img is None else img
     tracemalloc.start()
     try:
         denoise(img, DenoiseConfig(noise_sigma=20.0))
@@ -101,6 +108,25 @@ def group_matrix(table, members):
 
 def sq_norms(table):
     return np.einsum("ijk,ijk->ij", table, table)
+
+
+def float32_exact(img, p):
+    """Whether ``denoise`` matches ``img`` in a float32 table: every entry an
+    integer and 2 p max|x| < 2**12, so every term of the Gram distances is an
+    integer below 2**24."""
+    return bool(np.all(img == np.rint(img))) and 2 * p * np.abs(img).max() < 2**12
+
+
+def record_tables(monkeypatch):
+    """The set of dtypes of the tables and norms that ``denoise`` matches in."""
+    real, dtypes = denoise_module.extract_group, set()
+
+    def extract(table, sq_norms, row, cols, c):
+        dtypes.update((table.dtype, sq_norms.dtype))
+        return real(table, sq_norms, row, cols, c)
+
+    monkeypatch.setattr(denoise_module, "extract_group", extract)
+    return dtypes
 
 
 def match_one(table, anchor, c):
@@ -143,6 +169,11 @@ def matcher_images():
         "periodic": 10.0 * np.add.outer(np.arange(14) % 3, 2 * (np.arange(16) % 4)),
         "constant": np.full((12, 13), 7.0),
         "binary": rng.integers(0, 2, (13, 14)).astype(float),
+        # Integer differences, so many ties, but not integers: float64 only.
+        "half-integer": rng.integers(0, 20, (14, 13)) + 0.5,
+        "negative": -rng.integers(0, 200, (13, 15)).astype(float),
+        # Float32 at p <= 7; at p = 9 just past the magnitude test (2 * 9 * 255 = 4590).
+        "uint8": np.where(np.eye(14, 16), 255.0, rng.integers(0, 256, (14, 16))),
     }
 
 
@@ -152,10 +183,12 @@ class TestMatcherAgainstNaive:
     The Gram distances of the offset images are off by more than the gaps
     between exact distances, so ranking by them alone reorders members. The
     window test depends on which columns are anchors, so every column, the
-    two ends and the middle, and the stride-3 grid each take a turn."""
+    two ends and the middle, and the stride-3 grid each take a turn. Each
+    image is matched in a float64 table, and also in a float32 one where
+    ``denoise`` would take it (``float32_exact``)."""
 
-    # (patch, group, window): the last two hold groups larger than the window.
-    CONFIGS = [(3, 4, 3), (1, 6, 2), (5, 8, 20), (3, 16, 1), (1, 12, 1)]
+    # (patch, group, window): (3, 16, 1) and (1, 12, 1) hold groups larger than the window.
+    CONFIGS = [(3, 4, 3), (1, 6, 2), (5, 8, 20), (3, 16, 1), (1, 12, 1), (9, 6, 3)]
 
     @pytest.mark.parametrize("name", sorted(matcher_images()))
     def test_members_match_naive_sort(self, name):
@@ -174,6 +207,7 @@ class TestMatcherAgainstNaive:
         for p, k, sw in self.CONFIGS:
             c = cfg(patch_size=p, group_size=k, search_window=sw)
             table = patch_table(img, p)
+            tables = [table, table.astype(np.float32)] if float32_exact(img, p) else [table]
             rows, cols = table.shape[:2]
             anchor_sets = [
                 np.arange(cols),
@@ -184,11 +218,18 @@ class TestMatcherAgainstNaive:
                 expected = {
                     q: [i * cols + j for i, j in naive_group(img, (r, q), c)] for q in range(cols)
                 }
-                for anchors in anchor_sets:
-                    members = extract_group(table, sq_norms(table), r, anchors, c)
+                for t, anchors in itertools.product(tables, anchor_sets):
+                    members = extract_group(t, sq_norms(t), r, anchors, c)
                     for row, q in zip(members, anchors):
                         got = row[row >= 0].tolist()
-                        assert got == expected[q], (name, p, k, sw, r, q, anchors.size)
+                        assert got == expected[q], (name, t.dtype, p, k, sw, r, q, anchors.size)
+
+    def test_both_tables_taken(self):
+        # Which images and patch sizes above take a float32 table.
+        taken = {(name, p) for name, img in matcher_images().items()
+                 for p in {p for p, _, _ in self.CONFIGS} if float32_exact(img, p)}
+        integer = {"periodic", "constant", "binary", "negative", "uint8"}
+        assert taken == {(name, p) for name in integer for p in (1, 3, 5, 9)} - {("uint8", 9)}
 
 
 class TestGroupWeights:
@@ -311,13 +352,16 @@ def reference_case(case):
 
 class TestAgainstReference:
     @pytest.mark.parametrize("case", REFERENCE_CASES)
-    def test_matches_naive_reference(self, case):
+    def test_matches_naive_reference(self, case, monkeypatch):
         img, c = reference_case(case)
+        dtypes = record_tables(monkeypatch)
         stats = DenoiseStats()
         out = denoise(img, c, stats=stats)
         ref, groups = reference_denoise(img.astype(float), c)
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-9)
         assert stats.groups == groups
+        # The integer cases (0-255, p <= 7) are matched in float32, the others in float64.
+        assert dtypes == {np.dtype(np.float32 if case[3] else np.float64)}
 
 
 class TestDenoise:
@@ -399,6 +443,22 @@ class TestDenoise:
         assert stats.groups == 324
         assert stats.ranks == [1] * 324
 
+    @pytest.mark.parametrize(
+        "top, p, exact",
+        [(292.0, 7, True), (-292.0, 7, True), (293.0, 7, False), (-293.0, 7, False),
+         (227.0, 9, True), (228.0, 9, False), (100.5, 3, False)],
+    )
+    def test_float32_table_only_within_the_rule(self, monkeypatch, top, p, exact):
+        # 2 p max|x| < 2**12: 2 * 7 * 292 = 4088 and 2 * 9 * 227 = 4086 pass,
+        # 4102 and 4104 do not; 100.5 is not an integer. The output is the
+        # naive reference's either way.
+        img = np.where(np.eye(12), top, np.arange(144.0).reshape(12, 12) % 7)
+        c = cfg(patch_size=p, stride=2)
+        dtypes = record_tables(monkeypatch)
+        out = denoise(img, c)
+        assert dtypes == {np.dtype(np.float32 if exact else np.float64)}
+        np.testing.assert_allclose(out, reference_denoise(img, c)[0], rtol=0, atol=1e-9)
+
     def test_peak_memory_holds_one_patch_table(self):
         # The patch table is the one whole-image per-patch array; a second
         # one (per-patch sums, say) would double the peak.
@@ -471,13 +531,15 @@ class TestRowPool:
         # OpenBLAS reads its thread count at import, so each count runs in a
         # process of its own. Equal, not close: the Gram blocks stay on the
         # calling thread and each group's SVD is too small to be split.
+        # The integer images take the float32 (sgemm) matching, the others float64.
         code = (
             "import hashlib, numpy as np, wnnm\n"
             "for shape in ((64, 81), (128, 145)):\n"
             "    img = np.random.default_rng(shape[1]).uniform(0.0, 255.0, shape)\n"
-            "    stats = wnnm.DenoiseStats()\n"
-            "    out = wnnm.denoise(img, wnnm.DenoiseConfig(noise_sigma=20.0), stats=stats)\n"
-            "    print(hashlib.sha256(out.tobytes() + repr(stats.ranks).encode()).hexdigest())\n"
+            "    for x in (img, np.rint(img)):\n"
+            "        stats = wnnm.DenoiseStats()\n"
+            "        out = wnnm.denoise(x, wnnm.DenoiseConfig(noise_sigma=20.0), stats=stats)\n"
+            "        print(hashlib.sha256(out.tobytes() + repr(stats.ranks).encode()).hexdigest())\n"
         )
         # The subprocess imports the same wnnm package as this test, installed or not.
         src = os.path.dirname(os.path.dirname(wnnm.__file__))
@@ -487,7 +549,7 @@ class TestRowPool:
                            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=n)).stdout
             for n in ("1", "2")
         ]
-        assert len(hashes[0].split()) == 2 and hashes[0] == hashes[1]
+        assert len(hashes[0].split()) == 4 and hashes[0] == hashes[1]
 
     def test_rows_run_on_threads(self, monkeypatch):
         # The first three SVDs wait for each other, so three rows are in
@@ -560,6 +622,20 @@ class TestRowPool:
         assert 1 <= denoise_module.WORKERS <= denoise_module.MAX_WORKERS
         monkeypatch.setattr(denoise_module, "WORKERS", denoise_module.MAX_WORKERS)
         assert peak_in_patch_tables() < 2.5
+
+    def test_peak_memory_integer_image_at_most_workers(self, monkeypatch):
+        # An 8-bit image is matched in one float32 table, half a float64 one,
+        # and its shortlist needs no gather to recompute distances.
+        monkeypatch.setattr(denoise_module, "WORKERS", denoise_module.MAX_WORKERS)
+        assert peak_in_patch_tables(noisy_128(integer=True)) < 1.5
+
+    def test_peak_memory_tied_integer_image(self, monkeypatch):
+        # On a constant image every window candidate ties with the K-th and
+        # is shortlisted; without the recompute's gather of their patches,
+        # the peak stays within twice the noisy integer image's.
+        monkeypatch.setattr(denoise_module, "WORKERS", denoise_module.MAX_WORKERS)
+        noisy = peak_in_patch_tables(noisy_128(integer=True))
+        assert peak_in_patch_tables(np.full((128, 128), 77.0)) < 2.0 * noisy
 
     @pytest.fixture
     def second_svd_fails(self, monkeypatch):
@@ -643,7 +719,8 @@ class TestPsnr:
 
 
 def test_demo_script_runs(tmp_path):
-    """``scripts/denoise_demo.py`` writes its three PGMs and reports a gain."""
+    """``scripts/denoise_demo.py`` writes its three PGMs and reports a gain, and
+    ``wnnm denoise`` on its noisy PGM writes its denoised one."""
     script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "scripts", "denoise_demo.py")
     # The subprocess imports the same wnnm package as this test, installed or not.
@@ -658,3 +735,7 @@ def test_demo_script_runs(tmp_path):
     noisy, denoised = (float(re.search(rf"PSNR {label}: *([-\d.]+) dB", run.stdout).group(1))
                        for label in ("noisy", "denoised"))
     assert denoised > noisy
+    again = tmp_path / "again.pgm"
+    assert main(["denoise", "--in", str(tmp_path / "demo_noisy.pgm"), "--out", str(again),
+                 "--sigma", "20"]) == 0
+    assert again.read_bytes() == (tmp_path / "demo_denoised.pgm").read_bytes()
